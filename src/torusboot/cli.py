@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes are a stable contract: 0 success, 2 usage or config schema
-error, 3 work-budget refusal, 4 verification failure.
+error, 3 work-budget refusal, 4 verification failure.  Bad input is
+turned into a SchemaError where it is validated; any other exception is
+an internal error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ import datetime
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import __version__, extremal, formulas, montecarlo, verify
-from .dynamics import Modified, Rule, Standard
+from .dynamics import Modified, Rule, Standard, check_rule
 from .formulas import ThresholdQuery
+from .lattice import MAX_BALL_SITES, ball_size
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,9 +45,14 @@ def _default_threads() -> int:
 def _parse_rule(tag: str, d: int, r: int | None) -> Rule:
     if tag == "modified":
         return Modified()
-    if tag == "standard":
-        return Standard(r=d if r is None else r)
-    raise SchemaError(f"rule: expected 'standard' or 'modified', got {tag!r}")
+    if tag != "standard":
+        raise SchemaError(f"rule: expected 'standard' or 'modified', got {tag!r}")
+    rule = Standard(r=d if r is None else r)
+    try:
+        check_rule(rule, d)
+    except ValueError as exc:
+        raise SchemaError(f"r: {exc}")
+    return rule
 
 
 def _timestamp() -> str:
@@ -73,7 +82,20 @@ FORMULA_QUANTITIES = ("ell", "m", "m-general", "lambda-leading", "p-alpha")
 
 
 def cmd_formulas(args: argparse.Namespace) -> int:
-    params: dict = {}
+    try:
+        params, value = _formula_value(args)
+    except ValueError as exc:  # the closed forms validate their own arguments
+        raise SchemaError(str(exc))
+    doc = {"quantity": args.quantity, "params": params, "value": value}
+    if args.quantity in ("lambda-leading", "p-alpha"):
+        # the (1+o(1)) factor is dropped; flag so reports cannot confuse
+        # asymptotic predictions with exact values
+        doc["label"] = "leading-order"
+    print(json.dumps(doc, sort_keys=True))
+    return EXIT_OK
+
+
+def _formula_value(args: argparse.Namespace) -> tuple[dict, float | int]:
     if args.quantity == "ell":
         _require(args, "d", "t")
         params = {"d": args.d, "t": args.t}
@@ -98,13 +120,7 @@ def cmd_formulas(args: argparse.Namespace) -> int:
         value = formulas.p_alpha(
             ThresholdQuery(d=args.d, n=args.n, t=args.t, alpha=args.alpha, rule=rule)
         )
-    doc = {"quantity": args.quantity, "params": params, "value": value}
-    if args.quantity in ("lambda-leading", "p-alpha"):
-        # the (1+o(1)) factor is dropped; flag so reports cannot confuse
-        # asymptotic predictions with exact values
-        doc["label"] = "leading-order"
-    print(json.dumps(doc, sort_keys=True))
-    return EXIT_OK
+    return params, value
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -117,6 +133,10 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 # extremal
 
 def cmd_extremal(args: argparse.Namespace) -> int:
+    if args.d < 1 or args.t < 0:
+        raise SchemaError(f"--d must be >= 1 and --t >= 0, got d={args.d} t={args.t}")
+    if ball_size(args.d, args.t) > MAX_BALL_SITES:
+        raise SchemaError(f"ball d={args.d} t={args.t} exceeds the enumeration limit of {MAX_BALL_SITES} sites")
     rule = _parse_rule(args.rule, args.d, args.r)
     started = _timestamp()
     out_dir = Path(args.out) if args.out else None
@@ -162,8 +182,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
             outputs.append(name)
         print(json.dumps(doc, sort_keys=True))
     else:  # near-minimal
-        if args.k is None:
-            raise SchemaError("--k is required for action 'near-minimal'")
+        if args.k is None or args.k < 0:
+            raise SchemaError("--k >= 0 is required for action 'near-minimal'")
         g = extremal.count_near_minimal(args.d, args.t, args.k, rule, budget=args.budget)
         print(json.dumps({"d": args.d, "t": args.t, "k": args.k, "rule": args.rule, "count": g},
                          sort_keys=True))
@@ -181,6 +201,8 @@ def _parse_offset(raw: str, d: int) -> tuple[int, ...]:
         raise SchemaError(f"--offset: expected comma-separated integers, got {raw!r}")
     if len(offset) != d:
         raise SchemaError(f"--offset: expected {d} coordinates, got {len(offset)}")
+    if not any(offset):
+        raise SchemaError("--offset: must be nonzero")
     return offset
 
 
@@ -249,6 +271,10 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
         "t_measure": doc.get("t_measure", doc["t_horizon"]),
         "lambda": doc.get("lambda"),
     }
+    if extras["t_measure"] < 0:
+        raise SchemaError(f"t_measure: must be >= 0, got {extras['t_measure']}")
+    if extras["lambda"] is not None and extras["lambda"] < 0:
+        raise SchemaError(f"lambda: must be >= 0, got {extras['lambda']}")
     return config, extras
 
 
@@ -306,10 +332,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
-    reports = verify.run_suite(args.suite, threads=threads)
+    if threads < 1:
+        raise SchemaError(f"--threads: must be >= 1, got {threads}")
     all_ok = True
-    for rep in reports:
-        print(rep.line())
+    for criterion in verify.SUITES[args.suite]:
+        start = time.perf_counter()
+        rep = verify.run_criterion(criterion, threads)
+        print(f"{rep.line()} ({time.perf_counter() - start:.1f} s)")
         for line in rep.details:
             print("   ", line)
         all_ok = all_ok and rep.passed
@@ -372,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     except extremal.WorkBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

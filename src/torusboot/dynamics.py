@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -83,14 +84,6 @@ class InfectionState:
             raise ValueError("infected array must be boolean")
         if self.time < 0:
             raise ValueError("time must be >= 0")
-
-    @property
-    def all_infected(self) -> bool:
-        return bool(self.infected.all())
-
-    @property
-    def uninfected_count(self) -> int:
-        return int(self.infected.size - self.infected.sum())
 
 
 @dataclass(frozen=True)
@@ -168,6 +161,13 @@ def torus_uninfected_at(infected: np.ndarray, rule: Rule, t: int) -> int:
 @lru_cache(maxsize=None)
 def _ball_neighbor_matrix(d: int, t: int) -> np.ndarray:
     return neighbor_matrix(enumerate_ball(d, t).sites)
+
+
+@lru_cache(maxsize=None)
+def _ball_norms(d: int, t: int) -> np.ndarray:
+    norms = np.array([l1_norm(s) for s in enumerate_ball(d, t).sites], dtype=np.int64)
+    norms.flags.writeable = False  # shared by every caller
+    return norms
 
 
 def neighbor_matrix(sites: tuple[Site, ...]) -> np.ndarray:
@@ -286,12 +286,10 @@ def protected_set(initial: InfectionState, rule: Rule) -> frozenset[Site]:
         raise ValueError("protected_set is defined on the ball domain")
     dom = initial.domain
     check_rule(rule, dom.d)
-    snaps = ball_snapshots(~initial.infected, dom.d, dom.t, rule)
-    out = []
-    for i, site in enumerate(dom.index.sites):
-        if snaps[dom.t - l1_norm(site)][i]:
-            out.append(site)
-    return frozenset(out)
+    snaps = np.stack(ball_snapshots(~initial.infected, dom.d, dom.t, rule))
+    norms = _ball_norms(dom.d, dom.t)
+    keep = snaps[dom.t - norms, np.arange(norms.size)]
+    return frozenset(compress(dom.index.sites, keep))
 
 
 def is_origin_protected(initial: InfectionState, rule: Rule) -> bool:

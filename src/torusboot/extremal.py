@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
@@ -432,18 +433,13 @@ class LayerReport:
         return self.protected_count == self.bound
 
 
-def check_layer_bounds(initial: dynamics.InfectionState, rule: Rule) -> list[LayerReport]:
-    """Per-layer protected counts against the column layer sizes."""
-    if not isinstance(initial.domain, dynamics.Ball):
-        raise PreconditionError("layer checker needs a ball domain")
-    d, t = initial.domain.d, initial.domain.t
-    protected = dynamics.protected_set(initial, rule)
+def check_layer_bounds(protected: frozenset[Site], d: int, t: int) -> list[LayerReport]:
+    """Per-layer counts of a protected set of B_t (see dynamics.protected_set)
+    against the column layer sizes."""
     if (0,) * d not in protected:
         raise PreconditionError("origin is not protected")
-    by_norm: dict[int, int] = {}
-    for y in protected:
-        by_norm[l1_norm(y)] = by_norm.get(l1_norm(y), 0) + 1
-    return [LayerReport(k=k, protected_count=by_norm.get(k, 0), bound=ell(k, d)) for k in range(1, t + 1)]
+    by_norm = Counter(map(l1_norm, protected))
+    return [LayerReport(k=k, protected_count=by_norm[k], bound=ell(k, d)) for k in range(1, t + 1)]
 
 
 @dataclass(frozen=True)

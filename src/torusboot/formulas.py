@@ -57,16 +57,6 @@ def minimal_protecting_size(t: int, d: int, rule: Rule) -> int:
     return 2 * t + 1
 
 
-def extremal_count(d: int, rule: Rule) -> int:
-    """Number of minimal protecting configurations (t >= 2): d^3 2^(d-1)
-    for the standard rule, d axis columns for the modified rule."""
-    if isinstance(rule, Standard):
-        if rule.r != d:
-            raise ValueError("closed form is known only for the d-neighbour threshold")
-        return d**3 * 2 ** (d - 1)
-    return d
-
-
 def lambda_leading(n: int, d: int, t: int, q: float, rule: Rule) -> float:
     """Leading-order mean of the uninfected count at time t."""
     if not 0.0 <= q <= 1.0:

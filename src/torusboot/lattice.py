@@ -22,7 +22,7 @@ MAX_BALL_SITES = 1 << 26
 
 def l1_norm(x: Site) -> int:
     """Length of the shortest lattice path from the origin to x."""
-    return sum(abs(c) for c in x)
+    return sum(map(abs, x))
 
 
 def ball_size(d: int, t: int) -> int:

@@ -91,12 +91,6 @@ class EmpiricalDistribution:
         self.trials += other.trials
         self.stuck_count += other.stuck_count
 
-    def pmf(self) -> dict[int, float]:
-        return {k: v / self.trials for k, v in sorted(self.histogram.items())}
-
-    def proportion_le(self, t: int) -> float:
-        return sum(v for k, v in self.histogram.items() if k <= t) / self.trials
-
     def to_csv(self) -> str:
         lines = ["outcome,count"]
         for k in sorted(self.histogram):

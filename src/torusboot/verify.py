@@ -6,8 +6,11 @@ is exactly one definition of every tolerance.
 
 from __future__ import annotations
 
+import inspect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -96,35 +99,60 @@ KEY_LEMMA_TOTAL = 10_000
 _SAMPLING_Q = {2: 0.80, 3: 0.85}
 
 
+@lru_cache(maxsize=None)
+def _config_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 3^d configurations C in {-1,0,1}^d, and bound[C, k] for k = 0..t."""
+    configs = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
+    bound = np.array(
+        [[extremal.key_lemma_bound(tuple(int(c) for c in C), k) for k in range(t + 1)] for C in configs],
+        dtype=np.int64,
+    )
+    configs.flags.writeable = bound.flags.writeable = False  # shared by every caller
+    return configs, bound
+
+
 def _lemma_violations_for_config(
     d: int, t: int, uninf: np.ndarray, rule
 ) -> tuple[int, int, bool]:
     """(n_checks, n_violations, layer_bounds_ok) for one origin-protected state.
 
-    Configurations range over every choice that matches sign(x_i) on the
-    nonzero coordinates of x, the hypothesis under which the bound holds.
+    A check is one (x, C, k): a protected site x, a configuration C that
+    equals sign(x_i) on every nonzero coordinate of x (the hypothesis
+    under which the bound holds; zero coordinates range over {-1, 0, 1}),
+    and a distance k = 0..t-||x||.  It fails when fewer protected sites y
+    with ||y - x|| = k satisfy (y_i - x_i) C_i >= 0 on every axis than
+    key_lemma_bound(C, k).
+
+    All checks are decided at once.  compatible[c + 1, i, x, y] says that
+    axis i of y - x is allowed by C_i = c; for each valid (C, x) pair the
+    d planes are ANDed, and the compatible sites are counted per distance
+    with one bincount over (pair, k).
     """
     state = dynamics.InfectionState(domain=dynamics.Ball(d=d, t=t), infected=~uninf)
     protected = dynamics.protected_set(state, rule)
-    coords = np.array(sorted(protected), dtype=np.int64)
-    diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]
+    coords = np.array(list(protected), dtype=np.int64)
+    diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]  # [x, y, axis] = y - x
     dist = np.abs(diff).sum(axis=2)
     norms = np.abs(coords).sum(axis=1)
-    n_checks = n_viol = 0
-    for xi in range(coords.shape[0]):
-        k_max = t - norms[xi]
-        x = coords[xi]
-        zero_axes = [i for i in range(d) if x[i] == 0]
-        for free_choice in product((-1, 0, 1), repeat=len(zero_axes)):
-            C = np.sign(x)
-            C[zero_axes] = free_choice
-            compat = ((diff[xi] * C) >= 0).all(axis=1)
-            for k in range(0, k_max + 1):
-                n = int((compat & (dist[xi] == k)).sum())
-                n_checks += 1
-                if n < extremal.key_lemma_bound(tuple(int(c) for c in C), k):
-                    n_viol += 1
-    layers_ok = all(r.holds for r in extremal.check_layer_bounds(state, rule))
+    configs, bound = _config_table(d, t)
+
+    axis_diff = diff.transpose(2, 0, 1)  # [axis, x, y]
+    compatible = np.stack([axis_diff <= 0, np.ones(axis_diff.shape, dtype=bool), axis_diff >= 0])
+    signs = np.sign(coords)
+    valid = ((signs == 0) | (configs[:, np.newaxis, :] == signs)).all(axis=2)
+    ci, xi = np.nonzero(valid)  # the valid (C, x) pairs
+
+    compat = compatible[configs[ci, 0] + 1, 0, xi]
+    for axis in range(1, d):
+        compat &= compatible[configs[ci, axis] + 1, axis, xi]
+    n_pairs, width = ci.size, 2 * t + 1
+    pair_dist = np.arange(n_pairs)[:, np.newaxis] * width + dist[xi]
+    counts = np.bincount(pair_dist[compat], minlength=n_pairs * width).reshape(n_pairs, width)
+
+    in_range = np.arange(t + 1)[np.newaxis, :] <= (t - norms[xi])[:, np.newaxis]
+    n_checks = int(in_range.sum())
+    n_viol = int((in_range & (counts[:, : t + 1] < bound[ci])).sum())
+    layers_ok = all(r.holds for r in extremal.check_layer_bounds(protected, d, t))
     return n_checks, n_viol, layers_ok
 
 
@@ -340,22 +368,23 @@ def criterion_determinism() -> CriterionReport:
 # ---------------------------------------------------------------------------
 # Suite registry for the CLI
 
-SUITES = {
-    "extremal": lambda threads: [
-        criterion_extremal_sizes(),
-        criterion_extremal_counts(),
-        criterion_rho1_exact(),
-        criterion_key_lemma(),
-        criterion_union_bound(),
+SUITES: dict[str, list[Callable[..., CriterionReport]]] = {
+    "extremal": [
+        criterion_extremal_sizes,
+        criterion_extremal_counts,
+        criterion_rho1_exact,
+        criterion_key_lemma,
+        criterion_union_bound,
     ],
-    "formulas": lambda threads: [criterion_formula_identities()],
-    "dynamics": lambda threads: [criterion_coupling(threads)],
-    "poisson": lambda threads: [criterion_poisson(threads), criterion_determinism()],
-    "concentration": lambda threads: [criterion_concentration(threads)],
+    "formulas": [criterion_formula_identities],
+    "dynamics": [criterion_coupling],
+    "poisson": [criterion_poisson, criterion_determinism],
+    "concentration": [criterion_concentration],
 }
 
 
-def run_suite(name: str, threads: int = 4) -> list[CriterionReport]:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](threads)
+def run_criterion(criterion: Callable[..., CriterionReport], threads: int = 4) -> CriterionReport:
+    """Run one criterion of a suite; the Monte Carlo ones take `threads`."""
+    if "threads" in inspect.signature(criterion).parameters:
+        return criterion(threads=threads)
+    return criterion()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -127,3 +128,41 @@ def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["extremal", "min", "--d", "2", "--t", "1", "--r", "9"], "r=9"),
+    (["extremal", "min", "--d", "0", "--t", "1"], "--d"),
+    (["extremal", "rho1", "--d", "2", "--t", "-1"], "--t"),
+    (["extremal", "rho1", "--d", "3", "--t", "1000"], "limit"),
+    (["extremal", "joint", "--d", "2", "--t", "1", "--offset", "0,0"], "--offset"),
+    (["extremal", "near-minimal", "--d", "2", "--t", "1", "--k", "-1"], "--k"),
+    (["formulas", "m", "--d", "2", "--t", "-1"], "t and d"),
+    (["formulas", "p-alpha", "--d", "2", "--n", "100", "--t", "2", "--alpha", "2"], "alpha"),
+    (["verify", "formulas", "--threads", "0"], "--threads"),
+])
+def test_bad_input_is_usage_error(argv, field, capsys):
+    assert run(argv) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides,field", [({"lambda": -1.0}, "lambda"), ({"t_measure": -1}, "t_measure")])
+def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, field):
+    cfg = make_config(tmp_path, **overrides)
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli.extremal, "exact_rho1", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(["extremal", "rho1", "--d", "2", "--t", "1"])
+
+
+def test_verify_prints_wall_time_per_criterion(capsys):
+    assert run(["verify", "formulas"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"\[PASS\] .+ \(\d+\.\d s\)", first)

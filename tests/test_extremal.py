@@ -193,23 +193,23 @@ def test_check_key_lemma_preconditions():
 
 def test_layer_bounds_column_minimal():
     d, t = 2, 3
-    state = ball_state(d, t, column_sites(d, t))
-    reports = check_layer_bounds(state, Standard(d))
+    protected = dynamics.protected_set(ball_state(d, t, column_sites(d, t)), Standard(d))
+    reports = check_layer_bounds(protected, d, t)
     assert all(r.holds and r.minimal for r in reports)
 
 
 def test_layer_bounds_full_ball_not_minimal():
     d, t = 2, 2
-    state = ball_state(d, t, set(enumerate_ball(d, t).sites))
-    reports = check_layer_bounds(state, Standard(d))
+    protected = dynamics.protected_set(ball_state(d, t, set(enumerate_ball(d, t).sites)), Standard(d))
+    reports = check_layer_bounds(protected, d, t)
     assert all(r.holds for r in reports)
     assert not any(r.minimal for r in reports)
 
 
 def test_layer_bounds_requires_protected_origin():
-    state = ball_state(2, 2, {(0, 0)})
+    protected = dynamics.protected_set(ball_state(2, 2, {(0, 0)}), Standard(2))
     with pytest.raises(PreconditionError):
-        check_layer_bounds(state, Standard(2))
+        check_layer_bounds(protected, 2, 2)
 
 
 def test_components_band_on_column():

@@ -1,0 +1,66 @@
+from itertools import product
+
+import numpy as np
+import pytest
+
+from torusboot import dynamics, extremal, verify
+from torusboot.dynamics import Standard
+from torusboot.lattice import l1_norm
+
+
+def scalar_lemma_counts(d, t, uninf, rule):
+    """(n_checks, n_violations) from check_key_lemma over every valid (x, C, k)."""
+    state = dynamics.InfectionState(domain=dynamics.Ball(d=d, t=t), infected=~uninf)
+    n_checks = n_viol = 0
+    for x in dynamics.protected_set(state, rule):
+        choices = [(-1, 0, 1) if xi == 0 else ((1,) if xi > 0 else (-1,)) for xi in x]
+        for config in product(*choices):
+            for k in range(t - l1_norm(x) + 1):
+                n_checks += 1
+                if not extremal.check_key_lemma(state, rule, x, config, k).holds:
+                    n_viol += 1
+    return n_checks, n_viol
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_tensor_lemma_counts_match_scalar_checker(d, t):
+    rule = Standard(d)
+    rng = np.random.Generator(np.random.PCG64(11 * d + t))
+    configs = extremal.sample_protected_configs(d, t, rule, 6, rng, q=verify._SAMPLING_Q[d])
+    for uninf in configs:
+        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, uninf, rule)
+        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, uninf, rule)
+
+
+@pytest.mark.parametrize("d,t", [(2, 3), (3, 2)])
+def test_tensor_lemma_counts_violations_like_the_scalar_checker(monkeypatch, d, t):
+    # no sampled state violates the real bound, so raise it by one: exactly
+    # the tight checks fail, and both checkers must count the same ones
+    rule = Standard(d)
+    rng = np.random.Generator(np.random.PCG64(5))
+    (uninf,) = extremal.sample_protected_configs(d, t, rule, 1, rng, q=verify._SAMPLING_Q[d])
+    real_bound = extremal.key_lemma_bound
+    monkeypatch.setattr(extremal, "key_lemma_bound", lambda config, k: real_bound(config, k) + 1)
+    verify._config_table.cache_clear()
+    try:
+        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, uninf, rule)
+        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, uninf, rule)
+    finally:
+        verify._config_table.cache_clear()
+    assert 0 < n_viol < n_checks
+
+
+def test_run_criterion_passes_threads_only_where_taken():
+    seen = []
+
+    def threaded(threads=4):
+        seen.append(threads)
+        return verify.CriterionReport("threaded", True)
+
+    def plain():
+        return verify.CriterionReport("plain", True)
+
+    assert verify.run_criterion(threaded, 3).name == "threaded"
+    assert verify.run_criterion(plain, 3).name == "plain"
+    assert seen == [3]
+
