@@ -12,6 +12,7 @@ from collections import Counter
 
 from torusboot import extremal
 from torusboot.dynamics import Modified, Standard
+from torusboot.verify import SIZE_INSTANCES
 
 
 def main() -> int:
@@ -19,9 +20,8 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=extremal.DEFAULT_BUDGET)
     args = parser.parse_args()
 
-    instances = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
     print(f"{'rule':<10} {'d':>2} {'t':>2} {'size':>4} {'count':>6}  classes")
-    for d, t in instances:
+    for d, t in SIZE_INSTANCES:
         for rule, tag in ((Standard(d), "standard"), (Modified(), "modified")):
             start = time.time()
             try:

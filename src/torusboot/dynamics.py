@@ -6,8 +6,11 @@ gives exact answers for protection questions because the state of x at time
 s depends only on initial states within l1 distance s of x.
 
 The finite-domain stepper is written once, vectorised over a batch of
-initial states; single-state evolution is the batch of size one.  The
-extremal sweeps reuse the same code path.
+boolean initial states; single-state evolution is the batch of size one.
+The exhaustive sweeps of the extremal module run the bit-sliced
+light-cone kernel of the sweep module, 64 subsets per word.  Its
+differential test in tests/test_extremal.py holds it bit for bit to
+evolve_finite_batch here, which stays the reference.
 """
 
 from __future__ import annotations

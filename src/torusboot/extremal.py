@@ -1,10 +1,12 @@
 """Exhaustive oracles for the extremal structure of protecting sets.
 
-Everything here is certified by brute force: subsets of the ball are
-enumerated and tested with the dynamics module, so the only trusted code
-path is the evolution itself.  A work budget guards against accidental
-explosion; exceeding it raises WorkBudgetExceeded rather than running
-forever.
+Everything here is certified by brute force: every subset of the ball (or
+of a union of two balls) is evolved, 64 subsets per machine word, by the
+bit-sliced light-cone kernel in the sweep module.  tests/test_extremal.py
+checks that kernel bit for bit against dynamics.evolve_finite_batch, the
+boolean reference, on random states for both rules and every threshold.
+A work budget guards against accidental explosion; exceeding it raises
+WorkBudgetExceeded rather than running forever.
 """
 
 from __future__ import annotations
@@ -13,17 +15,20 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import dynamics
 from .dynamics import Modified, Rule, Standard
 from .formulas import ell
-from .lattice import Site, enumerate_ball, l1_norm
+from .lattice import Site, ball_size, enumerate_ball, l1_norm
+
+if TYPE_CHECKING:
+    from . import sweep
 
 DEFAULT_BUDGET = 10**8
-_BATCH = 1 << 18
 
 
 class WorkBudgetExceeded(Exception):
@@ -147,7 +152,7 @@ def classify(cert: Certificate) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# Batched protection testing
+# Batched protection testing (boolean rows, for the samplers)
 
 
 def _batch_protects_origin(uninfected: np.ndarray, d: int, t: int, rule: Rule) -> np.ndarray:
@@ -157,64 +162,81 @@ def _batch_protects_origin(uninfected: np.ndarray, d: int, t: int, rule: Rule) -
     return final[:, origin]
 
 
-def _size_subset_batches(n_sites: int, u: int, batch: int = _BATCH):
-    it = combinations(range(n_sites), u)
-    while True:
-        chunk = list(islice(it, batch))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.int64)
+# ---------------------------------------------------------------------------
+# One sweep per question; its result is shared by every oracle that asks it
+
+_SWEEPS: dict[tuple[int, int, Rule, Site | None], sweep.Sweep] = {}
+
+
+def _full_sweep(d: int, t: int, rule: Rule, offset: Site | None, budget: int) -> sweep.Sweep:
+    """The mask sweep of sweep.domain(d, t, offset); refuses 2^n above the budget."""
+    from . import sweep  # loaded on the first sweep, not with the package
+
+    total = 1 << len(sweep.domain_sites(d, t, offset))
+    if total > budget:
+        raise WorkBudgetExceeded(total, budget)
+    key = (d, t, rule, offset)
+    found = _SWEEPS.get(key)
+    if found is None or found.counts is None:
+        found = _SWEEPS[key] = sweep.mask_sweep(sweep.domain(d, t, offset), rule)
+    return found
+
+
+def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
+    """Smallest protecting size of B_t and its protecting subsets.
+
+    A mask sweep when 2^n is within the budget, else a size-major sweep
+    that stops at the first size with a hit.  Either way the call refuses
+    exactly when a size-major enumeration would: once the subsets of sizes
+    0..u tested would exceed the budget.  That check runs before a cached
+    result is used.
+    """
+    from . import sweep  # loaded on the first sweep, not with the package
+
+    dynamics.check_rule(rule, d)
+    n = ball_size(d, t)
+    if 1 << n <= budget:
+        return _full_sweep(d, t, rule, None, budget)
+    key = (d, t, rule, None)
+    known = _SWEEPS.get(key)
+    work = 0
+    for u in range(n + 1):
+        work += math.comb(n, u)
+        if work > budget:
+            raise WorkBudgetExceeded(work, budget)
+        if known is not None:
+            if u == known.min_size:
+                return known
+            continue
+        hits = sweep.size_layer_hits(sweep.domain(d, t), rule, u)
+        if hits:
+            _SWEEPS[key] = found = sweep.Sweep(min_size=u, hits=tuple(hits))
+            return found
+    raise AssertionError("the full ball always protects the origin")
 
 
 # ---------------------------------------------------------------------------
-# Size-major sweep: minimal size and minimal certificates
+# Minimal size and minimal certificates
 
 
 def min_protecting_size(d: int, t: int, rule: Rule, *, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest u such that some size-u subset of B_t protects the origin.
 
-    Enumerates subsets in size-major order; refuses once the cumulative
-    subset count would exceed the budget.
+    Refuses once the subsets of sizes 0..u would exceed the budget.
     """
-    dynamics.check_rule(rule, d)
-    n_sites = len(enumerate_ball(d, t))
-    work = 0
-    for u in range(n_sites + 1):
-        work += math.comb(n_sites, u)
-        if work > budget:
-            raise WorkBudgetExceeded(work, budget)
-        if _any_protecting_of_size(d, t, rule, u):
-            return u
-    raise AssertionError("the full ball always protects the origin")
-
-
-def _any_protecting_of_size(d: int, t: int, rule: Rule, u: int) -> bool:
-    n_sites = len(enumerate_ball(d, t))
-    for idx in _size_subset_batches(n_sites, u):
-        uninf = np.zeros((idx.shape[0], n_sites), dtype=bool)
-        if u:
-            uninf[np.arange(idx.shape[0])[:, None], idx] = True
-        if _batch_protects_origin(uninf, d, t, rule).any():
-            return True
-    return False
+    return _min_layer(d, t, rule, budget).min_size
 
 
 def count_min_certificates(
     d: int, t: int, rule: Rule, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, list[Certificate]]:
-    """All minimum-size protecting subsets of B_t."""
-    u = min_protecting_size(d, t, rule, budget=budget)
-    ball = enumerate_ball(d, t)
-    n_sites = len(ball)
-    certs: list[Certificate] = []
-    for idx in _size_subset_batches(n_sites, u):
-        uninf = np.zeros((idx.shape[0], n_sites), dtype=bool)
-        if u:
-            uninf[np.arange(idx.shape[0])[:, None], idx] = True
-        hits = np.flatnonzero(_batch_protects_origin(uninf, d, t, rule))
-        for h in hits:
-            sites = frozenset(ball.sites[j] for j in idx[h])
-            certs.append(Certificate(d=d, t=t, rule=rule, uninfected=sites))
+    """All minimum-size protecting subsets of B_t, in lexicographic order of
+    their site indices."""
+    sites = enumerate_ball(d, t).sites
+    certs = [
+        Certificate(d=d, t=t, rule=rule, uninfected=frozenset(sites[j] for j in hit))
+        for hit in _min_layer(d, t, rule, budget).hits
+    ]
     return len(certs), certs
 
 
@@ -277,47 +299,13 @@ class RhoPolynomial:
         )
 
 
-def _mask_sweep_counts(
-    sites: tuple[Site, ...],
-    targets: tuple[Site, ...],
-    d: int,
-    steps: int,
-    rule: Rule,
-    budget: int,
-) -> list[int]:
-    """Exact N_u over all 2^n subsets of `sites`: the event is that every
-    target site is still uninfected after `steps` steps (infected exterior)."""
-    n_sites = len(sites)
-    total = 1 << n_sites
-    if total > budget:
-        raise WorkBudgetExceeded(total, budget)
-    nbr = dynamics.neighbor_matrix(sites)
-    index_of = {s: i for i, s in enumerate(sites)}
-    target_idx = [index_of[s] for s in targets]
-    counts = np.zeros(n_sites + 1, dtype=np.int64)
-    chunk = min(total, 1 << 19)
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        uninf = np.empty((masks.size, n_sites), dtype=bool)
-        for b in range(n_sites):
-            uninf[:, b] = (masks >> b) & 1
-        popcount = uninf.sum(axis=1, dtype=np.int64)
-        final = dynamics.evolve_finite_batch(uninf, nbr, rule, steps=steps)
-        good = final[:, target_idx[0]]
-        for ti in target_idx[1:]:
-            good = good & final[:, ti]
-        counts += np.bincount(popcount[good], minlength=n_sites + 1)
-    return [int(c) for c in counts]
-
-
 def exact_rho1(d: int, t: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> RhoPolynomial:
     """Exact per-size counts of origin-protecting subsets of B_t."""
     if rule is None:
         rule = Standard(r=d)
     dynamics.check_rule(rule, d)
-    ball = enumerate_ball(d, t)
-    counts = _mask_sweep_counts(ball.sites, ((0,) * d,), d, t, rule, budget)
-    return RhoPolynomial(d=d, t=t, rule=rule, counts=tuple(counts), n_sites=len(ball))
+    counts = _full_sweep(d, t, rule, None, budget).counts
+    return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, n_sites=ball_size(d, t))
 
 
 def exact_joint(
@@ -333,12 +321,10 @@ def exact_joint(
     dynamics.check_rule(rule, d)
     if all(c == 0 for c in offset):
         raise ValueError("offset must be nonzero")
-    ball = enumerate_ball(d, t)
-    shifted = [tuple(c + o for c, o in zip(s, offset)) for s in ball.sites]
-    union = sorted(set(ball.sites) | set(shifted), key=lambda s: (l1_norm(s), s))
-    counts = _mask_sweep_counts(tuple(union), ((0,) * d, offset), d, t, rule, budget)
+    offset = tuple(offset)
+    counts = _full_sweep(d, t, rule, offset, budget).counts
     return RhoPolynomial(
-        d=d, t=t, rule=rule, counts=tuple(counts), n_sites=len(union), offset=tuple(offset)
+        d=d, t=t, rule=rule, counts=counts, n_sites=len(counts) - 1, offset=offset
     )
 
 
@@ -374,14 +360,16 @@ def key_lemma_bound(config: tuple[int, ...], k: int) -> int:
 
 
 def check_key_lemma(
-    initial: dynamics.InfectionState,
-    rule: Rule,
+    protected: frozenset[Site],
+    d: int,
+    t: int,
     x: Site,
     config: tuple[int, ...],
     k: int,
 ) -> KeyLemmaReport:
-    """Count protected sites compatible with `config` at distance k from x
-    and compare with the binomial lower bound.
+    """Count sites of a protected set of B_t (see dynamics.protected_set)
+    compatible with `config` at distance k from x and compare with the
+    binomial lower bound.
 
     The bound requires the configuration to agree with the sign of x on
     every nonzero coordinate: a free or opposing direction there admits
@@ -393,9 +381,6 @@ def check_key_lemma(
     config) raise PreconditionError; a False report is a genuine lemma
     violation.
     """
-    if not isinstance(initial.domain, dynamics.Ball):
-        raise PreconditionError("key lemma checker needs a ball domain")
-    d, t = initial.domain.d, initial.domain.t
     if len(x) != d or len(config) != d:
         raise PreconditionError("x and config must have length d")
     if any(c not in (-1, 0, 1) for c in config):
@@ -404,7 +389,6 @@ def check_key_lemma(
         raise PreconditionError("config must equal sign(x_i) on nonzero coordinates of x")
     if not 0 <= k <= t - l1_norm(x):
         raise PreconditionError(f"k={k} outside [0, {t - l1_norm(x)}]")
-    protected = dynamics.protected_set(initial, rule)
     if x not in protected:
         raise PreconditionError(f"site {x} is not protected")
     n = 0

@@ -1,0 +1,238 @@
+"""Bit-sliced light-cone sweeps over the subsets of a finite domain.
+
+A plane is a uint64 array holding one site's uninfected bit for 64 subsets
+per word, one subset per bit (the bit-slicing of Biham 1997, "A fast new DES
+implementation in software").  The rules become bitwise expressions over
+the neighbours' planes, and step s updates only the sites within distance
+steps - s of a target, the only ones the targets' final states depend on.
+
+Two feeds fill the planes: mask_sweep runs all 2^n subsets of a domain, and
+size_layer_hits the subsets of one size.  tests/test_extremal.py holds
+evolve_planes bit for bit to dynamics.evolve_finite_batch, the boolean
+reference.  The extremal oracles import this module on their first sweep,
+so the package's other users never load it.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+from . import dynamics
+from .dynamics import Modified, Rule
+from .lattice import Site, enumerate_ball, l1_norm
+
+_LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
+_CHUNK_BITS = 13  # a mask sweep evolves 2^13 words (2^19 masks) at a time
+_SUBSET_BLOCK = 1 << 16  # subsets per block of a size-major sweep
+
+
+class Domain(NamedTuple):
+    """A finite site list with infected exterior, its target sites, and the
+    light cone of the targets.
+
+    cone[s - 1] lists the sites updated at step s, those within distance
+    steps - s of a target, each with its 2d neighbours (+e_1, -e_1, ...).
+    The sites hold the radius-steps ball around every target, so no
+    neighbour of a cone site lies in the exterior.
+    """
+
+    sites: tuple[Site, ...]
+    targets: tuple[int, ...]
+    cone: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+
+
+@lru_cache(maxsize=None)
+def domain_sites(d: int, t: int, offset: Site | None = None) -> tuple[Site, ...]:
+    """B_t(0), or B_t(0) union B_t(offset), sorted by (norm, coordinates)."""
+    ball = enumerate_ball(d, t)
+    if offset is None:
+        return ball.sites
+    shifted = [tuple(c + o for c, o in zip(s, offset)) for s in ball.sites]
+    return tuple(sorted(set(ball.sites) | set(shifted), key=lambda s: (l1_norm(s), s)))
+
+
+@lru_cache(maxsize=None)
+def domain(d: int, t: int, offset: Site | None = None) -> Domain:
+    """domain_sites(d, t, offset) with its centres as targets, evolved t steps."""
+    sites = domain_sites(d, t, offset)
+    targets = ((0,) * d,) if offset is None else ((0,) * d, offset)
+    nbr = dynamics._ball_neighbor_matrix(d, t) if offset is None else dynamics.neighbor_matrix(sites)
+    dist = [min(sum(abs(a - b) for a, b in zip(s, g)) for g in targets) for s in sites]
+    rows = [tuple(r) for r in nbr.tolist()]
+    cone = tuple(
+        tuple((x, rows[x]) for x in range(len(sites)) if dist[x] <= t - step)
+        for step in range(1, t + 1)
+    )
+    if any(len(sites) in row for layer in cone for _, row in layer):
+        raise AssertionError("a light-cone site has a neighbour outside the domain")
+    index_of = {s: i for i, s in enumerate(sites)}
+    return Domain(sites=sites, targets=tuple(index_of[g] for g in targets), cone=cone)
+
+
+def _stays_uninfected(planes: list[np.ndarray], x: int, row: tuple[int, ...], rule: Rule) -> np.ndarray:
+    """Plane of x after one step, from the planes of x and its neighbours."""
+    if isinstance(rule, Modified):
+        # uninfected while some axis has both neighbours uninfected
+        keep = planes[row[0]] & planes[row[1]]
+        for plus, minus in zip(row[2::2], row[3::2]):
+            keep = keep | (planes[plus] & planes[minus])
+        return planes[x] & keep
+    # uninfected while fewer than r neighbours are infected, that is while at
+    # least 2d - r + 1 are uninfected
+    need = len(row) - rule.r + 1
+    runs: list[np.ndarray] = []  # runs[k]: at least k + 1 neighbours so far are uninfected
+    for nb in row:
+        carries = [planes[nb]] + [run & planes[nb] for run in runs[: need - 1]]
+        runs = [run | carry for run, carry in zip(runs, carries)] + carries[len(runs) :]
+    return planes[x] & runs[need - 1]
+
+
+def evolve_planes(planes: list[np.ndarray], dom: Domain, rule: Rule) -> list[np.ndarray]:
+    """Uninfected planes of the target sites after len(dom.cone) steps.
+
+    planes[j] holds site j's initial uninfected bits and is not modified.
+    """
+    current = list(planes)
+    for layer in dom.cone:
+        updated = [_stays_uninfected(current, x, row, rule) for x, row in layer]
+        for (x, _), plane in zip(layer, updated):
+            current[x] = plane
+    return [current[g] for g in dom.targets]
+
+
+def protects(planes: list[np.ndarray], dom: Domain, rule: Rule) -> np.ndarray:
+    """Plane of the subsets that leave every target uninfected."""
+    first, *rest = evolve_planes(planes, dom, rule)
+    for plane in rest:
+        first = first & plane
+    return first
+
+
+def pack_sites(uninfected: np.ndarray) -> list[np.ndarray]:
+    """(n_sites, rows) bool -> one plane per site, row i in bit i % 64 of word
+    i // 64.  Lanes past the last row read as all-infected subsets."""
+    n_sites, rows = uninfected.shape
+    padded = np.zeros((n_sites, -(-rows // 64) * 64), dtype=bool)
+    padded[:, :rows] = uninfected
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return list(packed.view("<u8").astype(np.uint64, copy=False))
+
+
+def lane_bits(plane: np.ndarray) -> np.ndarray:
+    """(words,) uint64 -> (words, 64) bool, lane p of word w at [w, p]."""
+    return np.unpackbits(plane.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little").astype(bool)
+
+
+@lru_cache(maxsize=1)
+def _lane_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lane p of a mask-sweep word holds the low mask bits p.  low[j] sets the
+    lanes whose bit j is set; by_popcount[k] the lanes with k bits set."""
+    low = [sum(1 << p for p in range(64) if p >> j & 1) for j in range(_LOW_BITS)]
+    by_popcount = [sum(1 << p for p in range(64) if p.bit_count() == k) for k in range(_LOW_BITS + 1)]
+    return np.array(low, dtype=np.uint64), np.array(by_popcount, dtype=np.uint64)
+
+
+class Sweep(NamedTuple):
+    """What a sweep found: the smallest protecting size, the protecting
+    subsets of that size (site indices, in lexicographic order), and N_u for
+    every u when the sweep covered all 2^n subsets."""
+
+    min_size: int
+    hits: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...] | None = None
+
+
+def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
+    """All 2^n subsets: bit j of mask m says site j is uninfected.
+
+    The low 6 bits of m are its lane in a word, so their planes are fixed
+    patterns; the higher bits are constant within a word.  Words are evolved
+    in chunks of 2^_CHUNK_BITS, and the sizes of the hits are counted per
+    word as popcount(word index) plus the popcount of the lane.
+    """
+    n = len(dom.sites)
+    low, by_popcount = _lane_tables()
+    n_low = min(n, _LOW_BITS)
+    chunk_bits = min(n - n_low, _CHUNK_BITS)
+    words = np.arange(1 << chunk_bits, dtype=np.uint64)
+    ones, zeros = np.full(words.size, ~np.uint64(0)), np.zeros(words.size, dtype=np.uint64)
+    fixed = [np.full(words.size, low[j]) for j in range(n_low)]
+    fixed += [np.where(words >> np.uint64(b) & np.uint64(1), ones, zeros) for b in range(chunk_bits)]
+    valid = np.uint64((1 << (1 << n_low)) - 1)  # lanes p < 2^n when n < 6
+    lane_popcount = np.arange(_LOW_BITS + 1)
+    word_popcount = np.bitwise_count(words).astype(np.int64)
+    counts = np.zeros(n + _LOW_BITS + 1, dtype=np.int64)
+    best, found = n + 1, []
+    for chunk in range(1 << (n - n_low - chunk_bits)):
+        planes = fixed + [ones if chunk >> b & 1 else zeros for b in range(n - n_low - chunk_bits)]
+        good = protects(planes, dom, rule) & valid
+        sel = np.flatnonzero(good)
+        if not sel.size:
+            continue
+        per_lane_size = np.bitwise_count(good[sel, np.newaxis] & by_popcount)  # [word, lane popcount]
+        size = word_popcount[sel, np.newaxis] + (chunk.bit_count() + lane_popcount)
+        counts += np.bincount(size.ravel(), weights=per_lane_size.ravel(), minlength=counts.size).astype(np.int64)
+        smallest = int(size[per_lane_size > 0].min())
+        if smallest > best:
+            continue
+        if smallest < best:
+            best, found = smallest, []
+        word, k = np.nonzero((size == best) & (per_lane_size > 0))
+        w, lane = np.nonzero(lane_bits(good[sel[word]] & by_popcount[k]))
+        base = (chunk << chunk_bits) + sel[word[w]]
+        found.append((base.astype(np.int64) << n_low) | lane)
+    masks = np.concatenate(found).tolist()
+    hits = sorted(tuple(j for j in range(n) if m >> j & 1) for m in masks)
+    return Sweep(min_size=best, hits=tuple(hits), counts=tuple(int(c) for c in counts[: n + 1]))
+
+
+def _combination_table(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for col in range(k):
+        first = table[:, -1] + 1 if col else np.zeros(1, dtype=np.int64)
+        choices = m - k + col + 1 - first  # values for this column that leave room for the rest
+        offsets = np.cumsum(choices) - choices
+        column = np.arange(choices.sum()) + np.repeat(first - offsets, choices)
+        table = np.column_stack([np.repeat(table, choices, axis=0), column])
+    return table
+
+
+def combination_blocks(n: int, u: int, rows: int = _SUBSET_BLOCK):
+    """The u-subsets of range(n) in lexicographic order, as arrays of fewer
+    than 2 * rows increasing rows."""
+
+    def split(prefix: tuple[int, ...], start: int, k: int):
+        if math.comb(n - start, k) <= rows:
+            tail = _combination_table(n - start, k) + start
+            head = np.broadcast_to(np.array(prefix, dtype=np.int64), (len(tail), len(prefix)))
+            yield np.hstack([head, tail])
+        else:
+            for first in range(start, n - k + 1):
+                yield from split(prefix + (first,), first + 1, k - 1)
+
+    pending: list[np.ndarray] = []
+    for block in split((), 0, u):
+        pending.append(block)
+        if sum(map(len, pending)) >= rows:
+            yield np.concatenate(pending)
+            pending = []
+    if pending:
+        yield np.concatenate(pending)
+
+
+def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
+    """The size-u subsets of the domain that protect every target, in
+    lexicographic order."""
+    n = len(dom.sites)
+    hits: list[tuple[int, ...]] = []
+    for subsets in combination_blocks(n, u):
+        uninfected = np.zeros((n, len(subsets)), dtype=bool)
+        uninfected[subsets, np.arange(len(subsets))[:, np.newaxis]] = True
+        good = lane_bits(protects(pack_sites(uninfected), dom, rule)).ravel()[: len(subsets)]
+        hits += map(tuple, subsets[good].tolist())
+    return hits

@@ -242,13 +242,15 @@ def lambda_exact_modified(n: int = POISSON_N) -> float:
     return n * n * extremal.exact_rho1(2, 1, Modified()).evaluate(modified_regime_q(n))
 
 
-_regime_cache: dict[int, dict] = {}
+_regime_cache: dict[tuple[int, int], dict] = {}
 
 
 def regime_runs(threads: int, seed: int = MASTER_SEED) -> dict:
-    """F, T, and modified-T histograms plus coupled pairs for one thread count."""
-    if threads in _regime_cache:
-        return _regime_cache[threads]
+    """F, T, and modified-T histograms plus coupled pairs for one thread
+    count and master seed."""
+    key = (threads, seed)
+    if key in _regime_cache:
+        return _regime_cache[key]
     n = POISSON_N
     cfg_f = montecarlo.ExperimentConfig(
         d=2, n=n, rule=Standard(2), q=poisson_regime_q(n), t_horizon=2,
@@ -272,7 +274,7 @@ def regime_runs(threads: int, seed: int = MASTER_SEED) -> dict:
         "T_mod": montecarlo.run_trials_T(cfg_tm),
         "pairs": montecarlo.coupled_monotonicity(cfg_pairs, q_low=0.1, q_high=0.2),
     }
-    _regime_cache[threads] = out
+    _regime_cache[key] = out
     return out
 
 

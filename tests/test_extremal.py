@@ -1,11 +1,13 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torusboot import dynamics, extremal
+from torusboot import dynamics, extremal, sweep
 from torusboot.dynamics import Modified, Standard, ball_state, is_origin_protected
 from torusboot.extremal import (
+    DEFAULT_BUDGET,
     Canonical,
     Other,
     PreconditionError,
@@ -23,7 +25,7 @@ from torusboot.extremal import (
     min_protecting_size,
 )
 from torusboot.formulas import ell, m
-from torusboot.lattice import enumerate_ball
+from torusboot.lattice import dependency_offsets, enumerate_ball
 
 
 def column_sites(d, t):
@@ -44,6 +46,70 @@ def test_budget_refusal_carries_estimate():
         min_protecting_size(2, 2, Standard(2), budget=10)
     assert exc.value.budget == 10
     assert exc.value.estimate > 10
+
+
+def test_cached_sweep_does_not_bypass_the_budget():
+    assert count_min_certificates(2, 2, Standard(2))[0] == 16  # fills the cache
+    for oracle in (min_protecting_size, count_min_certificates):
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            oracle(2, 2, Standard(2), budget=10)
+        assert (exc.value.budget, exc.value.estimate) == (10, 14)  # 1 + 13 subsets of sizes 0 and 1
+    with pytest.raises(WorkBudgetExceeded):
+        exact_rho1(2, 2, budget=10)
+
+
+def test_budget_between_size_major_work_and_all_masks():
+    # 2^13 = 8192 masks exceed the budget, but sizes 0..8 are only 7099
+    # subsets, so the size-major sweep answers; one less refuses at size 8
+    assert min_protecting_size(2, 2, Standard(2), budget=8000) == 8
+    assert count_min_certificates(2, 2, Standard(2), budget=7099)[0] == 16
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        min_protecting_size(2, 2, Standard(2), budget=7098)
+    assert exc.value.estimate == 7099
+
+
+def test_modified_4_2_accepted_under_default_budget():
+    # 2^41 masks are far over the budget; the size-major sweep tests
+    # 862,190 subsets of sizes 0..5
+    count, certs = count_min_certificates(4, 2, Modified(), budget=DEFAULT_BUDGET)
+    assert count == 4
+    assert {c.uninfected for c in certs} == {
+        frozenset(tuple(k if i == axis else 0 for i in range(4)) for k in range(-2, 3))
+        for axis in range(4)
+    }
+
+
+@pytest.mark.parametrize(
+    "d,t,rule,offset",
+    [
+        (2, 1, Standard(2), None),
+        (2, 2, Standard(2), None),
+        (2, 2, Modified(), None),
+        (3, 1, Standard(3), None),
+        (2, 2, Standard(3), None),
+        (2, 1, Modified(), (1, 0)),
+        (3, 1, Modified(), (-2, 0, 0)),
+        (2, 2, Standard(2), (1, 1)),
+        (2, 3, Modified(), None),  # 25 sites: the mask sweep runs in several chunks
+    ],
+)
+def test_size_major_and_mask_sweeps_agree(monkeypatch, d, t, rule, offset):
+    dom = sweep.domain(d, t, offset)
+    full = sweep.mask_sweep(dom, rule)
+    assert sweep.size_layer_hits(dom, rule, full.min_size) == list(full.hits)
+    for u in range(full.min_size + 2):
+        assert len(sweep.size_layer_hits(dom, rule, u)) == full.counts[u]
+    if len(dom.sites) <= 14:
+        # one word per chunk, so the smallest size found falls during the sweep
+        monkeypatch.setattr(sweep, "_CHUNK_BITS", 0)
+        assert sweep.mask_sweep(dom, rule) == full
+
+
+def test_combination_blocks_are_lexicographic():
+    for n, u in [(7, 0), (7, 3), (12, 5), (9, 9)]:
+        blocks = list(sweep.combination_blocks(n, u, rows=10))
+        assert all(len(b) < 20 for b in blocks)
+        assert [tuple(r) for b in blocks for r in b.tolist()] == list(combinations(range(n), u))
 
 
 def test_count_certificates_2_2():
@@ -107,6 +173,69 @@ def test_exact_rho1_modified_2_1():
     assert poly.evaluate(0.5) == 0.21875
 
 
+@pytest.mark.parametrize(
+    "rule,counts",
+    [
+        (Standard(2), (0, 0, 0, 0, 0, 0, 0, 0, 16, 77, 116, 60, 12, 1)),
+        (Modified(), (0, 0, 0, 0, 0, 2, 20, 82, 180, 230, 164, 62, 12, 1)),
+    ],
+)
+def test_exact_rho1_2_2_counts_pinned(rule, counts):
+    assert exact_rho1(2, 2, rule).counts == counts
+
+
+# N_u of exact_joint(2, 1, offset) for every offset criterion 05 checks,
+# keyed by the offset's sorted absolute coordinates (the counts are
+# invariant under signed permutations of the axes)
+JOINT_2_1 = {
+    (0, 1): (0, 0, 0, 0, 0, 0, 9, 6, 1),
+    (0, 2): (0, 0, 0, 0, 0, 0, 0, 9, 7, 1),
+    (1, 1): (0, 0, 0, 0, 0, 0, 4, 6, 1),
+    (0, 3): (0, 0, 0, 0, 0, 0, 0, 0, 16, 8, 1),
+    (1, 2): (0, 0, 0, 0, 0, 0, 0, 0, 16, 8, 1),
+}
+
+
+def test_exact_joint_counts_pinned_on_union_bound_offsets():
+    offsets = [s for s in enumerate_ball(2, 3).sites if any(s)]
+    assert len(offsets) == 24
+    for off in offsets:
+        assert exact_joint(2, 1, off).counts == JOINT_2_1[tuple(sorted(map(abs, off)))], off
+
+
+def test_light_cone_sizes():
+    # site-updates per step: B_(t-s) around the origin, not the whole ball
+    assert [len(layer) for layer in sweep.domain(4, 2).cone] == [9, 1]
+    assert [len(layer) for layer in sweep.domain(3, 2).cone] == [7, 1]
+    assert [len(layer) for layer in sweep.domain(2, 3).cone] == [13, 5, 1]
+    assert [len(layer) for layer in sweep.domain(2, 2, (2, 1)).cone] == [10, 2]
+
+
+@st.composite
+def kernel_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    t = draw(st.integers(1, 3))
+    rule = draw(st.one_of(st.just(Modified()), st.integers(1, 2 * d).map(Standard)))
+    offset = draw(st.none() | st.sampled_from(dependency_offsets(d, t)))
+    rows = draw(st.integers(1, 200))
+    q = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, t, rule, offset, rows, q, seed
+
+
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_packed_kernel_matches_boolean_reference(case):
+    d, t, rule, offset, rows, q, seed = case
+    dom = sweep.domain(d, t, offset)
+    uninf = np.random.default_rng(seed).random((rows, len(dom.sites))) < q
+    nbr = dynamics.neighbor_matrix(dom.sites)
+    want = dynamics.evolve_finite_batch(uninf, nbr, rule, steps=t)[:, list(dom.targets)]
+    planes = sweep.evolve_planes(sweep.pack_sites(uninf.T), dom, rule)
+    got = np.stack([sweep.lane_bits(p).ravel()[:rows] for p in planes], axis=1)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_rho_polynomial_json_roundtrip():
     poly = exact_rho1(2, 1)
     assert RhoPolynomial.from_json(poly.to_json()) == poly
@@ -165,8 +294,8 @@ def test_count_near_minimal():
 
 def test_check_key_lemma_tight_on_column():
     d, t = 2, 2
-    state = ball_state(d, t, column_sites(d, t))
-    report = check_key_lemma(state, Standard(d), (0, 0), (0, 0), t)
+    protected = dynamics.protected_set(ball_state(d, t, column_sites(d, t)), Standard(d))
+    report = check_key_lemma(protected, d, t, (0, 0), (0, 0), t)
     assert report.holds
     assert report.compatible_protected == ell(t, d)
     assert report.bound == ell(t, d)
@@ -174,21 +303,21 @@ def test_check_key_lemma_tight_on_column():
 
 def test_check_key_lemma_slack_on_full_ball():
     d, t = 2, 2
-    state = ball_state(d, t, set(enumerate_ball(d, t).sites))
-    report = check_key_lemma(state, Standard(d), (1, 0), (1, 0), 1)
+    protected = dynamics.protected_set(ball_state(d, t, set(enumerate_ball(d, t).sites)), Standard(d))
+    report = check_key_lemma(protected, d, t, (1, 0), (1, 0), 1)
     assert report.holds
     assert report.compatible_protected > report.bound
 
 
 def test_check_key_lemma_preconditions():
     d, t = 2, 2
-    state = ball_state(d, t, column_sites(d, t))
+    protected = dynamics.protected_set(ball_state(d, t, column_sites(d, t)), Standard(d))
     with pytest.raises(PreconditionError):
-        check_key_lemma(state, Standard(d), (0, 0), (0, 0), t + 1)  # k too large
+        check_key_lemma(protected, d, t, (0, 0), (0, 0), t + 1)  # k too large
     with pytest.raises(PreconditionError):
-        check_key_lemma(state, Standard(d), (2, 0), (1, 0), 0)  # x not protected
+        check_key_lemma(protected, d, t, (2, 0), (1, 0), 0)  # x not protected
     with pytest.raises(PreconditionError):
-        check_key_lemma(state, Standard(d), (0, 1), (0, -1), 1)  # config against sign
+        check_key_lemma(protected, d, t, (0, 1), (0, -1), 1)  # config against sign
 
 
 def test_layer_bounds_column_minimal():

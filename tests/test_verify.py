@@ -11,13 +11,14 @@ from torusboot.lattice import l1_norm
 def scalar_lemma_counts(d, t, uninf, rule):
     """(n_checks, n_violations) from check_key_lemma over every valid (x, C, k)."""
     state = dynamics.InfectionState(domain=dynamics.Ball(d=d, t=t), infected=~uninf)
+    protected = dynamics.protected_set(state, rule)
     n_checks = n_viol = 0
-    for x in dynamics.protected_set(state, rule):
+    for x in protected:
         choices = [(-1, 0, 1) if xi == 0 else ((1,) if xi > 0 else (-1,)) for xi in x]
         for config in product(*choices):
             for k in range(t - l1_norm(x) + 1):
                 n_checks += 1
-                if not extremal.check_key_lemma(state, rule, x, config, k).holds:
+                if not extremal.check_key_lemma(protected, d, t, x, config, k).holds:
                     n_viol += 1
     return n_checks, n_viol
 
@@ -64,3 +65,17 @@ def test_run_criterion_passes_threads_only_where_taken():
     assert verify.run_criterion(plain, 3).name == "plain"
     assert seen == [3]
 
+
+
+def test_regime_runs_cache_is_keyed_by_seed(monkeypatch):
+    # each stub echoes the master seed it was given, so a result cached for
+    # one seed and served for another shows up as the wrong seed
+    monkeypatch.setattr(verify, "_regime_cache", {})
+    monkeypatch.setattr(verify.montecarlo, "run_trials_F", lambda cfg, t: cfg.master_seed)
+    monkeypatch.setattr(verify.montecarlo, "run_trials_T", lambda cfg: cfg.master_seed)
+    monkeypatch.setattr(verify.montecarlo, "coupled_monotonicity", lambda cfg, **kw: cfg.master_seed)
+    seven, eight = verify.regime_runs(1, seed=7), verify.regime_runs(1, seed=8)
+    assert seven["F"] == 7 and eight["F"] == 8
+    assert (seven["T"], seven["T_mod"], seven["pairs"]) == (8, 9, 10)
+    assert (eight["T"], eight["T_mod"], eight["pairs"]) == (9, 10, 11)
+    assert verify.regime_runs(1, seed=7) is seven
