@@ -12,8 +12,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from torusboot import cli, extremal, montecarlo
-from torusboot.dynamics import Modified, Standard
+from torusboot import cli
+from torusboot.verify import lambda_exact_modified, lambda_exact_standard, modified_regime_q, poisson_regime_q
 
 
 def main() -> int:
@@ -27,14 +27,9 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.model == "standard":
-        t = 2
-        q = (2.0 / (16.0 * args.n**2)) ** (1.0 / 8.0)
-        poly = extremal.exact_rho1(2, t, Standard(2))
+        t, q, lam = 2, poisson_regime_q(args.n), lambda_exact_standard(args.n)
     else:
-        t = 1
-        q = (1.0 / args.n**2) ** (1.0 / 3.0)
-        poly = extremal.exact_rho1(2, t, Modified())
-    lam = args.n**2 * poly.evaluate(q)
+        t, q, lam = 1, modified_regime_q(args.n), lambda_exact_modified(args.n)
 
     config = {
         "schema": 1,
@@ -50,11 +45,10 @@ def main() -> int:
         "t_measure": t,
         "lambda": lam,
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        config_path = fh.name
-
-    code = cli.main(["experiment", config_path, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = cli.main(["experiment", str(config_path), "--out", args.out])
     if code != 0:
         return code
     report = json.loads((Path(args.out) / "report.json").read_text())

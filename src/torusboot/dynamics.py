@@ -1,31 +1,34 @@
 """Exact evolution of r-neighbour and modified bootstrap percolation.
 
-Two finite domains are supported: the torus, and a finite site list whose
-exterior is permanently infected.  The ball-with-infected-exterior domain
-gives exact answers for protection questions because the state of x at time
-s depends only on initial states within l1 distance s of x.
+Two kinds of state are evolved, both as plain boolean arrays.  A torus is a
+d-dimensional grid of infected bits; torus_run steps it to full infection,
+to a fixpoint, or to a step limit, which gives the percolation time T and
+the uninfected count F_t.  A ball is a batch of uninfected rows over the
+sites of enumerate_ball(d, t), whose exterior is permanently infected.  It
+answers protection questions exactly, because the state of x at time s
+depends only on initial states within l1 distance s of x.  protected_set
+maps a batch of rows to their protected sets in t kernel calls.
 
 The finite-domain stepper is written once, vectorised over a batch of
-boolean initial states; single-state evolution is the batch of size one.
-The exhaustive sweeps of the extremal module run the bit-sliced
-light-cone kernel of the sweep module, 64 subsets per word.  Its
-differential test in tests/test_extremal.py holds it bit for bit to
+boolean initial states.  The exhaustive sweeps of the extremal module run
+the bit-sliced light-cone kernel of the sweep module, 64 subsets per word.
+Its differential test in tests/test_extremal.py holds it bit for bit to
 evolve_finite_batch here, which stays the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import BallIndex, Site, TorusSpec, enumerate_ball, l1_norm
+from .lattice import Site, enumerate_ball, l1_norm
 
 
 # ---------------------------------------------------------------------------
-# Rules and domains
+# Rules
 
 
 @dataclass(frozen=True)
@@ -46,61 +49,6 @@ Rule = Standard | Modified
 def check_rule(rule: Rule, d: int) -> None:
     if isinstance(rule, Standard) and not 1 <= rule.r <= 2 * d:
         raise ValueError(f"standard threshold r={rule.r} outside [1, {2 * d}] for d={d}")
-
-
-@dataclass(frozen=True)
-class Torus:
-    spec: TorusSpec
-
-
-@dataclass(frozen=True)
-class Ball:
-    """The l1 ball of radius t; everything outside is permanently infected."""
-
-    d: int
-    t: int
-
-    @property
-    def index(self) -> BallIndex:
-        return enumerate_ball(self.d, self.t)
-
-
-Domain = Torus | Ball
-
-
-@dataclass(frozen=True)
-class InfectionState:
-    """Infected assignment over a domain at a given time step."""
-
-    domain: Domain
-    infected: np.ndarray
-    time: int = 0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.domain, Torus):
-            expected = (self.domain.spec.n,) * self.domain.spec.d
-        else:
-            expected = (len(self.domain.index),)
-        if self.infected.shape != expected:
-            raise ValueError(f"infected array has shape {self.infected.shape}, domain needs {expected}")
-        if self.infected.dtype != np.bool_:
-            raise ValueError("infected array must be boolean")
-        if self.time < 0:
-            raise ValueError("time must be >= 0")
-
-
-@dataclass(frozen=True)
-class Percolated:
-    T: int
-
-
-@dataclass(frozen=True)
-class Stuck:
-    t_stable: int
-    uninfected: int
-
-
-StopReport = Percolated | Stuck
 
 
 # ---------------------------------------------------------------------------
@@ -126,35 +74,24 @@ def torus_step_grid(infected: np.ndarray, rule: Rule) -> np.ndarray:
     return infected | ok
 
 
-def torus_stop_report(infected: np.ndarray, rule: Rule) -> StopReport:
-    """Run a torus grid to full infection or to a fixpoint."""
-    t = 0
+def torus_run(infected: np.ndarray, rule: Rule, max_steps: int | None = None) -> tuple[int, int]:
+    """Step a torus grid until it is fully infected, a step changes
+    nothing, or max_steps steps have run; (steps taken, uninfected left).
+
+    T is the step count when no site is left uninfected (a fixpoint below
+    full infection has no T), and F_t is torus_run(grid, rule, t)[1].
+    """
+    steps = 0
     current = infected
     n_inf = int(current.sum())
-    while True:
-        if n_inf == current.size:
-            return Percolated(T=t)
-        nxt = torus_step_grid(current, rule)
-        n_next = int(nxt.sum())
-        if n_next == n_inf:
-            return Stuck(t_stable=t, uninfected=current.size - n_inf)
-        current, n_inf = nxt, n_next
-        t += 1
-
-
-def torus_uninfected_at(infected: np.ndarray, rule: Rule, t: int) -> int:
-    """Number of uninfected sites after t steps."""
-    current = infected
-    n_inf = int(current.sum())
-    for _ in range(t):
-        if n_inf == current.size:
-            break
+    while n_inf < current.size and (max_steps is None or steps < max_steps):
         nxt = torus_step_grid(current, rule)
         n_next = int(nxt.sum())
         if n_next == n_inf:
             break
         current, n_inf = nxt, n_next
-    return current.size - n_inf
+        steps += 1
+    return steps, current.size - n_inf
 
 
 # ---------------------------------------------------------------------------
@@ -225,84 +162,50 @@ def evolve_finite_batch(
     return current
 
 
-def ball_snapshots(uninfected: np.ndarray, d: int, t: int, rule: Rule) -> list[np.ndarray]:
-    """Uninfected bit vectors at times 0..t for one initial state on Ball(d, t)."""
-    nbr = _ball_neighbor_matrix(d, t)
-    snaps = [uninfected.astype(bool, copy=True)]
-    current = uninfected[np.newaxis, :]
-    for _ in range(t):
-        current = evolve_finite_batch(current, nbr, rule, steps=1)
-        snaps.append(current[0].copy())
-    return snaps
+class BallState(NamedTuple):
+    """One initial state of B_t: uninfected is a bool row over the sites of
+    enumerate_ball(d, t), and the exterior is infected."""
+
+    d: int
+    t: int
+    uninfected: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# Spec-level operations
-
-
-def step(state: InfectionState, rule: Rule) -> InfectionState:
-    """One synchronous update; previously infected sites stay infected."""
-    if isinstance(state.domain, Torus):
-        check_rule(rule, state.domain.spec.d)
-        nxt = torus_step_grid(state.infected, rule)
-    else:
-        dom = state.domain
-        nbr = _ball_neighbor_matrix(dom.d, dom.t)
-        uninf = ~state.infected
-        nxt = ~evolve_finite_batch(uninf[np.newaxis, :], nbr, rule, steps=1)[0]
-    return replace(state, infected=nxt, time=state.time + 1)
-
-
-def percolation_time(initial: InfectionState, rule: Rule) -> StopReport:
-    """Iterate until full infection or a strict fixpoint below it."""
-    if not isinstance(initial.domain, Torus):
-        raise ValueError("percolation_time is defined on the torus domain")
-    check_rule(rule, initial.domain.spec.d)
-    return torus_stop_report(initial.infected, rule)
-
-
-def uninfected_count_at(initial: InfectionState, rule: Rule, t: int) -> int:
-    """|V| - |A_t| on the torus."""
-    if not isinstance(initial.domain, Torus):
-        raise ValueError("uninfected_count_at is defined on the torus domain")
-    check_rule(rule, initial.domain.spec.d)
-    return torus_uninfected_at(initial.infected, rule, t)
-
-
-def ball_state(d: int, t: int, uninfected_sites: frozenset[Site] | set[Site]) -> InfectionState:
-    """Ball-domain state with the given sites uninfected, rest infected."""
-    dom = Ball(d=d, t=t)
-    index = dom.index
-    infected = np.ones(len(index), dtype=bool)
+def ball_state(d: int, t: int, uninfected_sites: frozenset[Site] | set[Site]) -> BallState:
+    """B_t with the given sites uninfected, the rest infected."""
+    index = enumerate_ball(d, t)
+    uninfected = np.zeros(len(index), dtype=bool)
     for s in uninfected_sites:
-        infected[index.index_of[s]] = False
-    return InfectionState(domain=dom, infected=infected)
+        uninfected[index.index_of[s]] = True
+    return BallState(d=d, t=t, uninfected=uninfected)
 
 
-def protected_set(initial: InfectionState, rule: Rule) -> frozenset[Site]:
-    """Sites x of B_t still uninfected at time t - ||x||.
+def protects_origin(uninfected: np.ndarray, d: int, t: int, rule: Rule) -> np.ndarray:
+    """For each row of a (batch, n_sites) state of B_t, whether the origin
+    is still uninfected at time t; one kernel call of t steps."""
+    final = evolve_finite_batch(uninfected, _ball_neighbor_matrix(d, t), rule, steps=t)
+    return final[:, 0]  # the origin is the first site of enumerate_ball
+
+
+def is_origin_protected(state: BallState, rule: Rule) -> bool:
+    """Whether the origin of one ball state is still uninfected at time t."""
+    return bool(protects_origin(state.uninfected[np.newaxis, :], state.d, state.t, rule)[0])
+
+
+def protected_set(uninfected: np.ndarray, d: int, t: int, rule: Rule) -> np.ndarray:
+    """Sites x of B_t still uninfected at time t - ||x||, for each row of a
+    (batch, n_sites) state; a (batch, n_sites) bool array.
 
     After that time the state of x can no longer influence the origin at
-    time t, so these are exactly the sites whose protection matters.
+    time t, so these are exactly the sites whose protection matters.  The
+    whole batch is evolved one step at a time, t kernel calls in all.
     """
-    if not isinstance(initial.domain, Ball):
-        raise ValueError("protected_set is defined on the ball domain")
-    dom = initial.domain
-    check_rule(rule, dom.d)
-    snaps = np.stack(ball_snapshots(~initial.infected, dom.d, dom.t, rule))
-    norms = _ball_norms(dom.d, dom.t)
-    keep = snaps[dom.t - norms, np.arange(norms.size)]
-    return frozenset(compress(dom.index.sites, keep))
-
-
-def is_origin_protected(initial: InfectionState, rule: Rule) -> bool:
-    """Whether the origin is still uninfected at time t."""
-    if not isinstance(initial.domain, Ball):
-        raise ValueError("is_origin_protected is defined on the ball domain")
-    dom = initial.domain
-    check_rule(rule, dom.d)
-    nbr = _ball_neighbor_matrix(dom.d, dom.t)
-    uninf = ~initial.infected
-    final = evolve_finite_batch(uninf[np.newaxis, :], nbr, rule, steps=dom.t)
-    origin_idx = dom.index.index_of[(0,) * dom.d]
-    return bool(final[0, origin_idx])
+    check_rule(rule, d)
+    nbr = _ball_neighbor_matrix(d, t)
+    norms = _ball_norms(d, t)
+    current = np.asarray(uninfected, dtype=bool)
+    protected = current & (norms == t)
+    for s in range(1, t + 1):
+        current = evolve_finite_batch(current, nbr, rule, steps=1)
+        protected |= current & (norms == t - s)
+    return protected

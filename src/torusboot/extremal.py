@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +36,16 @@ class WorkBudgetExceeded(Exception):
     def __init__(self, estimate: int, budget: int):
         self.estimate = estimate
         self.budget = budget
-        super().__init__(f"enumeration needs ~{estimate} subset tests, budget is {budget}")
+        super().__init__(
+            f"enumeration needs ~{_magnitude(estimate)} subset tests, budget is {_magnitude(budget)}"
+        )
+
+
+def _magnitude(n: int) -> str:
+    """n in decimal below 2^64, else as 2^e with e = floor(log2 n): decimal
+    conversion of a mask count such as 2^14621 exceeds Python's digit limit."""
+    e = n.bit_length() - 1
+    return str(n) if e < 64 else f"2^{e}"
 
 
 class PreconditionError(Exception):
@@ -115,12 +123,20 @@ def _column_set(d: int, t: int, axis: int, orient: tuple[int, ...]) -> frozenset
 def classify(cert: Certificate) -> Classification:
     """Match the protected set of a certificate against the column templates.
 
-    Canonical: a column aligned with some axis.  Semi-canonical: a column
-    whose two extreme points may each be displaced one step sideways.
+    Standard rule: canonical is a column aligned with some axis, and
+    semi-canonical a column whose two extreme points may each be displaced
+    one step sideways.  Modified rule: canonical is the line through the
+    origin along some axis, with every orientation 0.
     """
-    state = dynamics.ball_state(cert.d, cert.t, cert.uninfected)
-    protected = dynamics.protected_set(state, cert.rule)
     d, t = cert.d, cert.t
+    row = dynamics.ball_state(d, t, cert.uninfected).uninfected
+    protected_row = dynamics.protected_set(row[np.newaxis, :], d, t, cert.rule)[0]
+    protected = frozenset(compress(enumerate_ball(d, t).sites, protected_row))
+    if isinstance(cert.rule, Modified):
+        for axis in range(d):
+            if protected == _column_set(d, t, axis, (0,) * d):
+                return Canonical(axis=axis, orientations=(0,) * d)
+        return Other()
     for axis in range(d):
         others = [i for i in range(d) if i != axis]
         for eps in product((-1, 1), repeat=d - 1):
@@ -149,17 +165,6 @@ def classify(cert: Certificate) -> Classification:
                             axis=axis, orientations=orient_t, v_plus=vp, v_minus=vm
                         )
     return Other()
-
-
-# ---------------------------------------------------------------------------
-# Batched protection testing (boolean rows, for the samplers)
-
-
-def _batch_protects_origin(uninfected: np.ndarray, d: int, t: int, rule: Rule) -> np.ndarray:
-    nbr = dynamics._ball_neighbor_matrix(d, t)
-    final = dynamics.evolve_finite_batch(uninfected, nbr, rule, steps=t)
-    origin = enumerate_ball(d, t).index_of[(0,) * d]
-    return final[:, origin]
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +365,16 @@ def key_lemma_bound(config: tuple[int, ...], k: int) -> int:
 
 
 def check_key_lemma(
-    protected: frozenset[Site],
+    protected: np.ndarray,
     d: int,
     t: int,
     x: Site,
     config: tuple[int, ...],
     k: int,
 ) -> KeyLemmaReport:
-    """Count sites of a protected set of B_t (see dynamics.protected_set)
-    compatible with `config` at distance k from x and compare with the
-    binomial lower bound.
+    """Count sites of a protected set of B_t, one row of
+    dynamics.protected_set, compatible with `config` at distance k from x
+    and compare with the binomial lower bound.
 
     The bound requires the configuration to agree with the sign of x on
     every nonzero coordinate: a free or opposing direction there admits
@@ -389,10 +394,11 @@ def check_key_lemma(
         raise PreconditionError("config must equal sign(x_i) on nonzero coordinates of x")
     if not 0 <= k <= t - l1_norm(x):
         raise PreconditionError(f"k={k} outside [0, {t - l1_norm(x)}]")
-    if x not in protected:
+    ball = enumerate_ball(d, t)
+    if not protected[ball.index_of[x]]:
         raise PreconditionError(f"site {x} is not protected")
     n = 0
-    for y in protected:
+    for y in compress(ball.sites, protected):
         if sum(abs(yi - xi) for yi, xi in zip(y, x)) != k:
             continue
         if all((yi - xi) * c >= 0 for yi, xi, c in zip(y, x, config)):
@@ -417,80 +423,13 @@ class LayerReport:
         return self.protected_count == self.bound
 
 
-def check_layer_bounds(protected: frozenset[Site], d: int, t: int) -> list[LayerReport]:
-    """Per-layer counts of a protected set of B_t (see dynamics.protected_set)
-    against the column layer sizes."""
-    if (0,) * d not in protected:
+def check_layer_bounds(protected: np.ndarray, d: int, t: int) -> list[LayerReport]:
+    """Per-layer counts of a protected set of B_t, one row of
+    dynamics.protected_set, against the column layer sizes."""
+    if not protected[0]:  # the origin is the first site of enumerate_ball
         raise PreconditionError("origin is not protected")
-    by_norm = Counter(map(l1_norm, protected))
-    return [LayerReport(k=k, protected_count=by_norm[k], bound=ell(k, d)) for k in range(1, t + 1)]
-
-
-@dataclass(frozen=True)
-class ComponentBandReport:
-    components_meeting_mid: int
-    hypotheses_ok: bool
-    failures: tuple[str, ...]
-
-
-def count_components_band(
-    initial: dynamics.InfectionState, rule: Rule, r1: int, r2: int, mid: int
-) -> ComponentBandReport:
-    """Connected components of protected sites in the band r1 <= ||x|| <= r2
-    that meet the layer of radius mid.
-
-    When the hypotheses fail the count is still reported but carries no
-    guarantee of being at most two.
-    """
-    if not isinstance(initial.domain, dynamics.Ball):
-        raise PreconditionError("component checker needs a ball domain")
-    d, t = initial.domain.d, initial.domain.t
-    protected = dynamics.protected_set(initial, rule)
-    failures: list[str] = []
-    if (0,) * d not in protected:
-        failures.append("origin not protected")
-    if r1 < d:
-        failures.append(f"r1={r1} < d={d}")
-    if r2 > t:
-        failures.append(f"r2={r2} > t={t}")
-    if (r2 - r1) % 2 != 0 or r2 - r1 < 3 * d:
-        failures.append(f"band width {r2 - r1} not an even number >= 3d")
-    if 2 * mid != r1 + r2:
-        failures.append(f"mid={mid} is not the band centre")
-    by_norm: dict[int, int] = {}
-    for y in protected:
-        by_norm[l1_norm(y)] = by_norm.get(l1_norm(y), 0) + 1
-    for r in range(r1, min(r2, t) + 1):
-        if by_norm.get(r, 0) != ell(r, d):
-            failures.append(f"layer {r} not minimal")
-            break
-    band = [y for y in protected if r1 <= l1_norm(y) <= r2]
-    band_set = set(band)
-    seen: set[Site] = set()
-    n_components = 0
-    for start in band:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        meets_mid = False
-        while stack:
-            y = stack.pop()
-            if l1_norm(y) == mid:
-                meets_mid = True
-            for i in range(d):
-                for delta in (1, -1):
-                    nb = y[:i] + (y[i] + delta,) + y[i + 1 :]
-                    if nb in band_set and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        if meets_mid:
-            n_components += 1
-    return ComponentBandReport(
-        components_meeting_mid=n_components,
-        hypotheses_ok=not failures,
-        failures=tuple(failures),
-    )
+    by_norm = np.bincount(dynamics._ball_norms(d, t)[protected], minlength=t + 1)
+    return [LayerReport(k=k, protected_count=int(by_norm[k]), bound=ell(k, d)) for k in range(1, t + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +457,16 @@ def sample_protected_configs(
     batch = max(64, min(4096, 4 * n_configs))
     for _ in range(max_batches):
         uninf = rng.random((batch, n_sites)) < q
-        good = _batch_protects_origin(uninf, d, t, rule)
+        good = dynamics.protects_origin(uninf, d, t, rule)
         for row in np.flatnonzero(good):
             out.append(uninf[row].copy())
             if len(out) == n_configs:
                 return out
     raise RuntimeError(f"rejection sampling produced {len(out)}/{n_configs} configurations")
+
+
+# perfbench/test_perfbench.py redraws the sampler's batches through this name
+_batch_protects_origin = dynamics.protects_origin
 
 
 def certificates_to_json(certs: list[Certificate]) -> str:

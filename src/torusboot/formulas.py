@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .lattice import Site, ball_size, dependency_offsets, l1_norm
-from .dynamics import Modified, Rule, Standard
+from .dynamics import Rule, Standard
 
 
 def ell(t: int, d: int) -> int:
@@ -151,13 +151,3 @@ def poisson_pmf(k: int, lam: float) -> float:
     if lam == 0:
         return 1.0 if k == 0 else 0.0
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-
-
-def tv_distance(p: dict[int, float], q: dict[int, float]) -> float:
-    """Total variation distance between two integer-supported pmfs.
-
-    Half the l1 distance, which equals the sup-over-events form for
-    distributions on the integers.
-    """
-    support = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in support)

@@ -1,4 +1,4 @@
-"""Geometry of l1 balls in Z^d and of the discrete torus.
+"""Geometry of l1 balls in Z^d.
 
 Sites are plain tuples of ints.  Every enumeration here is deterministic
 (sorted by (l1 norm, lexicographic coordinates)) so that certificates and
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 Site = tuple[int, ...]
 
@@ -34,13 +33,6 @@ def ball_size(d: int, t: int) -> int:
     return sum(2**k * math.comb(d, k) * math.comb(t, k) for k in range(0, min(d, t) + 1))
 
 
-def sphere_size(d: int, t: int) -> int:
-    """Number of lattice points with l1 norm exactly t in Z^d."""
-    if t == 0:
-        return 1
-    return ball_size(d, t) - ball_size(d, t - 1)
-
-
 @dataclass(frozen=True)
 class BallIndex:
     """Canonical enumeration of the l1 ball of radius t in Z^d.
@@ -55,9 +47,6 @@ class BallIndex:
 
     def __len__(self) -> int:
         return len(self.sites)
-
-    def __contains__(self, x: Site) -> bool:
-        return x in self.index_of
 
 
 def _ball_sites(d: int, t: int) -> list[Site]:
@@ -88,12 +77,6 @@ def enumerate_ball(d: int, t: int) -> BallIndex:
     return BallIndex(d=d, t=t, sites=sites, index_of={s: i for i, s in enumerate(sites)})
 
 
-def enumerate_sphere(d: int, t: int) -> tuple[Site, ...]:
-    """Sites of enumerate_ball(d, t) with norm exactly t, same relative order."""
-    ball = enumerate_ball(d, t)
-    return tuple(s for s in ball.sites if l1_norm(s) == t)
-
-
 def dependency_offsets(d: int, t: int) -> tuple[Site, ...]:
     """All nonzero offsets of l1 norm <= 2t+1.
 
@@ -105,45 +88,3 @@ def dependency_offsets(d: int, t: int) -> tuple[Site, ...]:
     ball = enumerate_ball(d, 2 * t + 1)
     origin = (0,) * d
     return tuple(s for s in ball.sites if s != origin)
-
-
-@dataclass(frozen=True)
-class TorusSpec:
-    """Side length and dimension of the discrete torus."""
-
-    d: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"torus dimension must be >= 2, got {self.d}")
-        if self.n < 2:
-            raise ValueError(f"torus side must be >= 2, got {self.n}")
-        if self.n**self.d >= 1 << 62:
-            raise ValueError(f"torus with n={self.n}, d={self.d} overflows 64-bit site counts")
-
-    @property
-    def volume(self) -> int:
-        return self.n**self.d
-
-
-def torus_neighbors(spec: TorusSpec, x: Site) -> dict[Site, int]:
-    """Neighbors of x on the torus with adjacency multiplicity.
-
-    On an n=2 torus x+e_i and x-e_i coincide; the collapsed neighbor keeps
-    multiplicity 2 so infection counts treat it as two adjacencies.
-    """
-    if len(x) != spec.d:
-        raise ValueError(f"site has {len(x)} coords, torus has d={spec.d}")
-    x = tuple(c % spec.n for c in x)
-    out: dict[Site, int] = {}
-    for i in range(spec.d):
-        for delta in (1, -1):
-            nb = x[:i] + ((x[i] + delta) % spec.n,) + x[i + 1 :]
-            out[nb] = out.get(nb, 0) + 1
-    return out
-
-
-def torus_sites(spec: TorusSpec) -> list[Site]:
-    """All torus sites in lexicographic order (the sampling order)."""
-    return list(product(range(spec.n), repeat=spec.d))

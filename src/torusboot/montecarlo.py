@@ -16,17 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dynamics import (
-    InfectionState,
-    Percolated,
-    Rule,
-    Stuck,
-    Torus,
-    check_rule,
-    torus_stop_report,
-    torus_uninfected_at,
-)
-from .lattice import TorusSpec
+from .dynamics import Rule, check_rule, torus_run
 from .formulas import poisson_pmf
 
 _MASK64 = (1 << 64) - 1
@@ -117,12 +107,10 @@ def sample_initial_grid(config: ExperimentConfig, trial_index: int) -> np.ndarra
     return _uniforms(config, trial_index) < 1.0 - config.q
 
 
-def sample_initial(config: ExperimentConfig, trial_index: int) -> InfectionState:
-    """Torus InfectionState for one trial (the grid form wrapped)."""
-    return InfectionState(
-        domain=Torus(TorusSpec(d=config.d, n=config.n)),
-        infected=sample_initial_grid(config, trial_index),
-    )
+def _percolation_time(infected: np.ndarray, rule: Rule) -> int | None:
+    """T of one grid, or None when it fixates below full infection."""
+    steps, uninfected = torus_run(infected, rule)
+    return steps if uninfected == 0 else None
 
 
 def _map_trials(config: ExperimentConfig, fn) -> EmpiricalDistribution:
@@ -143,8 +131,7 @@ def run_trials_T(config: ExperimentConfig) -> EmpiricalDistribution:
     """Sample the percolation time T; fixpoints below full infection are Stuck."""
 
     def one(i: int) -> int | None:
-        report = torus_stop_report(sample_initial_grid(config, i), config.rule)
-        return report.T if isinstance(report, Percolated) else None
+        return _percolation_time(sample_initial_grid(config, i), config.rule)
 
     return _map_trials(config, one)
 
@@ -153,7 +140,7 @@ def run_trials_F(config: ExperimentConfig, t: int) -> EmpiricalDistribution:
     """Sample the uninfected count after t steps."""
 
     def one(i: int) -> int:
-        return torus_uninfected_at(sample_initial_grid(config, i), config.rule, t)
+        return torus_run(sample_initial_grid(config, i), config.rule, t)[1]
 
     return _map_trials(config, one)
 
@@ -183,11 +170,8 @@ def coupled_monotonicity(
     pairs: list[tuple[int | None, int | None]] = []
     for i in range(config.trials):
         u = _uniforms(config, i)
-        t_vals = []
-        for q in (q_low, q_high):
-            report = torus_stop_report(u < 1.0 - q, config.rule)
-            t_vals.append(report.T if isinstance(report, Percolated) else None)
-        pairs.append((t_vals[0], t_vals[1]))
+        low, high = (_percolation_time(u < 1.0 - q, config.rule) for q in (q_low, q_high))
+        pairs.append((low, high))
     return pairs
 
 

@@ -111,10 +111,17 @@ def _config_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return configs, bound
 
 
-def _lemma_violations_for_config(
-    d: int, t: int, uninf: np.ndarray, rule
-) -> tuple[int, int, bool]:
-    """(n_checks, n_violations, layer_bounds_ok) for one origin-protected state.
+@lru_cache(maxsize=None)
+def _ball_coords(d: int, t: int) -> np.ndarray:
+    """(n_sites, d) coordinates of enumerate_ball(d, t).sites."""
+    coords = np.array(enumerate_ball(d, t).sites, dtype=np.int64)
+    coords.flags.writeable = False  # shared by every caller
+    return coords
+
+
+def _lemma_violations_for_config(d: int, t: int, protected: np.ndarray) -> tuple[int, int, bool]:
+    """(n_checks, n_violations, layer_bounds_ok) for one origin-protected
+    state, given its protected set (one row of dynamics.protected_set).
 
     A check is one (x, C, k): a protected site x, a configuration C that
     equals sign(x_i) on every nonzero coordinate of x (the hypothesis
@@ -128,9 +135,7 @@ def _lemma_violations_for_config(
     d planes are ANDed, and the compatible sites are counted per distance
     with one bincount over (pair, k).
     """
-    state = dynamics.InfectionState(domain=dynamics.Ball(d=d, t=t), infected=~uninf)
-    protected = dynamics.protected_set(state, rule)
-    coords = np.array(list(protected), dtype=np.int64)
+    coords = _ball_coords(d, t)[protected]
     diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]  # [x, y, axis] = y - x
     dist = np.abs(diff).sum(axis=2)
     norms = np.abs(coords).sum(axis=1)
@@ -168,8 +173,8 @@ def criterion_key_lemma(total: int = KEY_LEMMA_TOTAL, seed: int = MASTER_SEED) -
             d, t, rule, per_cell, rng, q=_SAMPLING_Q[d]
         )
         checks = viol = bad_layers = 0
-        for uninf in configs:
-            c, v, layers_ok = _lemma_violations_for_config(d, t, uninf, rule)
+        for protected in dynamics.protected_set(np.stack(configs), d, t, rule):
+            c, v, layers_ok = _lemma_violations_for_config(d, t, protected)
             checks += c
             viol += v
             bad_layers += 0 if layers_ok else 1

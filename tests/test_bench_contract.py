@@ -1,0 +1,49 @@
+"""The names the benchmark in perfbench/ calls or traces still exist.
+
+The tracer wraps the functions listed in perfbench/spans.py by name; a
+function that is gone shows only as an `absent:` metric in a traced
+benchmark run.  These tests read that list and the worker's set-up calls,
+and fail as soon as a name they use is deleted or changes shape.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from torusboot import dynamics, extremal, verify
+from torusboot.dynamics import Modified, Standard
+from torusboot.lattice import enumerate_ball
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_spans_contract", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+@pytest.mark.parametrize("module,attr", [target[:2] for target in load_targets()])
+def test_traced_function_exists(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+@pytest.mark.parametrize(
+    "d,t,rule",
+    [(4, 2, Modified()), (2, 2, Standard(2))] + [(d, t, Standard(d)) for d, t in verify.KEY_LEMMA_CELLS],
+)
+def test_worker_setup_call_runs(d, t, rule):
+    # the oracle and lemma set-up warm the caches with this exact call
+    assert dynamics.is_origin_protected(dynamics.ball_state(d, t, frozenset()), rule) is False
+
+
+def test_batch_protects_origin_takes_a_batch():
+    uninf = np.ones((5, len(enumerate_ball(2, 2))), dtype=bool)
+    uninf[1:, 0] = False  # the origin, site 0, starts infected in rows 1..4
+    assert extremal._batch_protects_origin(uninf, 2, 2, Standard(2)).tolist() == [True] + [False] * 4

@@ -60,6 +60,18 @@ def test_extremal_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_extremal_refuses_a_mask_count_beyond_decimal_printing(capsys):
+    # B_85 in Z^2 has 14,621 sites: 2^14621 masks, a 4,402-digit number
+    assert run(["extremal", "rho1", "--d", "2", "--t", "85"]) == 3
+    assert "2^14621" in capsys.readouterr().err
+
+
+def test_extremal_min_modified_axis_lines_are_canonical(capsys):
+    assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", "modified"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["count"], summary["canonical"], summary["other"]) == (2, 2, 0)
+
+
 def test_extremal_joint_requires_offset(capsys):
     assert run(["extremal", "joint", "--d", "2", "--t", "1"]) == 2
 

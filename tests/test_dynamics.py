@@ -4,22 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from torusboot import dynamics
 from torusboot.dynamics import (
-    Ball,
-    InfectionState,
     Modified,
-    Percolated,
     Standard,
-    Stuck,
-    Torus,
     ball_state,
+    evolve_finite_batch,
     is_origin_protected,
-    percolation_time,
+    neighbor_matrix,
     protected_set,
-    step,
+    torus_run,
     torus_step_grid,
-    uninfected_count_at,
 )
-from torusboot.lattice import TorusSpec, enumerate_ball, l1_norm
+from torusboot.lattice import enumerate_ball, l1_norm
 
 
 def column_sites(d, t):
@@ -31,9 +26,10 @@ def column_sites(d, t):
     }
 
 
-def torus_state(grid):
-    arr = np.asarray(grid, dtype=bool)
-    return InfectionState(domain=Torus(TorusSpec(d=arr.ndim, n=arr.shape[0])), infected=arr)
+def protected_sites(d, t, sites, rule):
+    """The protected set of one ball state, as a set of sites."""
+    row = protected_set(ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, rule)[0]
+    return {s for s, keep in zip(enumerate_ball(d, t).sites, row) if keep}
 
 
 grids = st.integers(min_value=4, max_value=6).flatmap(
@@ -46,10 +42,9 @@ grids = st.integers(min_value=4, max_value=6).flatmap(
 @given(grids)
 @settings(max_examples=60)
 def test_step_is_monotone_in_time(grid):
-    state = torus_state(grid)
-    nxt = step(state, Standard(2))
-    assert np.all(state.infected <= nxt.infected)
-    assert nxt.time == 1
+    grid = np.asarray(grid, dtype=bool)
+    for rule in (Standard(2), Modified()):
+        assert np.all(grid <= torus_step_grid(grid, rule))
 
 
 @given(
@@ -75,29 +70,80 @@ def test_step_is_monotone_in_initial_set(pair):
 @given(grids)
 @settings(max_examples=40)
 def test_percolation_time_is_consistent_with_counts(grid):
-    state = torus_state(grid)
-    report = percolation_time(state, Standard(2))
-    if isinstance(report, Percolated):
-        assert uninfected_count_at(state, Standard(2), report.T) == 0
-        if report.T > 0:
-            assert uninfected_count_at(state, Standard(2), report.T - 1) > 0
+    grid = np.asarray(grid, dtype=bool)
+    steps, uninfected = torus_run(grid, Standard(2))
+    if uninfected == 0:
+        assert torus_run(grid, Standard(2), steps)[1] == 0
+        if steps > 0:
+            assert torus_run(grid, Standard(2), steps - 1)[1] > 0
     else:
-        assert isinstance(report, Stuck)
-        assert report.uninfected > 0
+        # a fixpoint: one more step changes nothing
+        assert torus_run(grid, Standard(2), steps + 1) == (steps, uninfected)
 
 
 def test_full_and_empty_grids():
-    full = torus_state(np.ones((4, 4), dtype=bool))
-    assert percolation_time(full, Standard(2)) == Percolated(T=0)
-    empty = torus_state(np.zeros((4, 4), dtype=bool))
-    report = percolation_time(empty, Standard(2))
-    assert isinstance(report, Stuck) and report.uninfected == 16
+    assert torus_run(np.ones((4, 4), dtype=bool), Standard(2)) == (0, 0)
+    assert torus_run(np.zeros((4, 4), dtype=bool), Standard(2)) == (0, 16)
 
 
 def test_single_uninfected_site_is_eaten():
     grid = np.ones((5, 5), dtype=bool)
     grid[2, 2] = False
-    assert percolation_time(torus_state(grid), Standard(2)) == Percolated(T=1)
+    assert torus_run(grid, Standard(2)) == (1, 0)
+
+
+def _pinned_grids():
+    full = np.ones((4, 4), dtype=bool)
+    empty = np.zeros((4, 4), dtype=bool)
+    hole = np.ones((5, 5), dtype=bool)
+    hole[2, 2] = False
+    row = np.ones((6, 6), dtype=bool)
+    row[2, :] = False
+    n2 = np.zeros((2, 2), dtype=bool)
+    n2[0, 0] = True
+    out = {"full": (full, Standard(2)), "empty": (empty, Standard(2)), "hole": (hole, Standard(2)),
+           "row_r3": (row, Standard(3)), "row_mod": (row, Modified()), "n2": (n2, Standard(2))}
+    rng = np.random.default_rng(11)
+    for i, (n, q, rule) in enumerate([(2, 0.5, Standard(1)), (3, 0.6, Standard(2)), (8, 0.5, Standard(2)),
+                                       (16, 0.3, Standard(3)), (16, 0.6, Modified()), (32, 0.45, Standard(2)),
+                                       (32, 0.7, Modified())]):
+        out[f"random{i}"] = (rng.random((n, n)) < 1.0 - q, rule)
+    return out
+
+
+# name: (T or None when stuck, torus_step_grid calls for T,
+#        [(F_t, torus_step_grid calls) for t = 0..5]), recorded from the
+# two separate loops torus_run replaced
+PINNED_RUNS = {
+    "full": (0, 0, [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)]),
+    "empty": (None, 1, [(16, 0), (16, 1), (16, 1), (16, 1), (16, 1), (16, 1)]),
+    "hole": (1, 1, [(1, 0), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1)]),
+    "row_r3": (None, 1, [(6, 0), (6, 1), (6, 1), (6, 1), (6, 1), (6, 1)]),
+    "row_mod": (None, 1, [(6, 0), (6, 1), (6, 1), (6, 1), (6, 1), (6, 1)]),
+    "n2": (2, 2, [(3, 0), (1, 1), (0, 2), (0, 2), (0, 2), (0, 2)]),
+    "random0": (1, 1, [(1, 0), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1)]),
+    "random1": (2, 2, [(5, 0), (2, 1), (0, 2), (0, 2), (0, 2), (0, 2)]),
+    "random2": (2, 2, [(25, 0), (3, 1), (0, 2), (0, 2), (0, 2), (0, 2)]),
+    "random3": (None, 6, [(71, 0), (28, 1), (13, 2), (7, 3), (5, 4), (4, 5)]),
+    "random4": (6, 6, [(155, 0), (95, 1), (57, 2), (28, 3), (14, 4), (5, 5)]),
+    "random5": (3, 3, [(453, 0), (90, 1), (7, 2), (0, 3), (0, 3), (0, 3)]),
+    "random6": (13, 13, [(704, 0), (523, 1), (408, 2), (306, 3), (221, 4), (152, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_torus_run_pinned(monkeypatch, name):
+    grid, rule = _pinned_grids()[name]
+    calls = []
+    step = dynamics.torus_step_grid
+    monkeypatch.setattr(dynamics, "torus_step_grid", lambda g, r: calls.append(1) or step(g, r))
+    steps, uninfected = torus_run(grid, rule)
+    got_t, t_calls = (steps if uninfected == 0 else None), len(calls)
+    got_f = []
+    for t in range(6):
+        calls.clear()
+        got_f.append((torus_run(grid, rule, t)[1], len(calls)))
+    assert (got_t, t_calls, got_f) == PINNED_RUNS[name]
 
 
 def test_modified_needs_every_axis():
@@ -117,14 +163,13 @@ def test_column_protects_origin():
 
 def test_protected_set_of_column_is_column():
     d, t = 2, 2
-    state = ball_state(d, t, column_sites(d, t))
-    assert protected_set(state, Standard(d)) == frozenset(column_sites(d, t))
+    assert protected_sites(d, t, column_sites(d, t), Standard(d)) == column_sites(d, t)
 
 
 def test_fully_uninfected_ball_protects_everything():
     d, t = 2, 2
-    state = ball_state(d, t, set(enumerate_ball(d, t).sites))
-    assert protected_set(state, Standard(d)) == frozenset(enumerate_ball(d, t).sites)
+    sites = set(enumerate_ball(d, t).sites)
+    assert protected_sites(d, t, sites, Standard(d)) == sites
 
 
 def test_too_small_sets_do_not_protect():
@@ -139,10 +184,10 @@ def test_ball_exterior_is_infected():
     # an uninfected sphere site with no uninfected inward neighbour falls
     # immediately: its exterior neighbours are permanently infected
     d, t = 2, 2
+    ball = enumerate_ball(d, t)
     state = ball_state(d, t, {(2, 0), (0, 0)})
-    snaps = dynamics.ball_snapshots(~state.infected, d, t, Standard(d))
-    idx = enumerate_ball(d, t).index_of[(2, 0)]
-    assert not snaps[1][idx]
+    after = evolve_finite_batch(state.uninfected[np.newaxis, :], neighbor_matrix(ball.sites), Standard(d), steps=1)
+    assert not after[0, ball.index_of[(2, 0)]]
 
 
 def test_torus_and_ball_agree_inside_light_cone():
@@ -151,33 +196,54 @@ def test_torus_and_ball_agree_inside_light_cone():
     d, t = 2, 2
     ball = enumerate_ball(d, t)
     n = 16
-    for _ in range(25):
-        uninf = rng.random(len(ball)) < 0.6
-        state = ball_state(d, t, {s for i, s in enumerate(ball.sites) if uninf[i]})
-        grid = np.ones((n, n), dtype=bool)
-        for i, s in enumerate(ball.sites):
-            grid[s[0] % n, s[1] % n] = not uninf[i]
-        torus = torus_state(grid)
-        cur = torus
-        for _ in range(t):
-            cur = step(cur, Standard(d))
-        assert bool(~cur.infected[0, 0]) == is_origin_protected(state, Standard(d))
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        InfectionState(domain=Torus(TorusSpec(d=2, n=4)), infected=np.zeros((3, 3), dtype=bool))
-    with pytest.raises(ValueError):
-        InfectionState(domain=Torus(TorusSpec(d=2, n=4)), infected=np.zeros((4, 4), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        InfectionState(domain=Ball(d=2, t=1), infected=np.zeros(6, dtype=bool))
+    for rule in (Standard(2), Modified()):
+        for _ in range(25):
+            uninf = rng.random(len(ball)) < 0.6
+            grid = np.ones((n, n), dtype=bool)
+            for i, s in enumerate(ball.sites):
+                grid[s[0] % n, s[1] % n] = not uninf[i]
+            for _ in range(t):
+                grid = torus_step_grid(grid, rule)
+            state = ball_state(d, t, {s for i, s in enumerate(ball.sites) if uninf[i]})
+            assert (not grid[0, 0]) == is_origin_protected(state, rule)
 
 
 def test_protected_set_respects_light_cone_times():
     # a sphere site is protected iff initially uninfected
     d, t = 2, 2
     sites = column_sites(d, t)
-    state = ball_state(d, t, sites)
-    for s in protected_set(state, Standard(d)):
+    for s in protected_sites(d, t, sites, Standard(d)):
         if l1_norm(s) == t:
             assert s in sites
+
+
+def reference_protected_set(row, d, t, rule):
+    """One state's protected set, step count by step count: for each s,
+    evolve the row s steps from scratch and keep the sites of norm t - s."""
+    sites = enumerate_ball(d, t).sites
+    nbr = neighbor_matrix(sites)
+    out = np.zeros(len(sites), dtype=bool)
+    for s in range(t + 1):
+        after = evolve_finite_batch(row[np.newaxis, :], nbr, rule, steps=s)[0]
+        for i, x in enumerate(sites):
+            if l1_norm(x) == t - s:
+                out[i] = after[i]
+    return out
+
+
+RULES_BY_D = [(d, rule) for d in (2, 3) for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]]
+
+
+@pytest.mark.parametrize("d,rule", RULES_BY_D)
+@given(
+    t=st.integers(0, 3),
+    rows=st.sampled_from((1, 65, 100)),
+    q=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=12, deadline=None)
+def test_batched_protected_set_matches_per_row_reference(d, rule, t, rows, q, seed):
+    uninf = np.random.default_rng(seed).random((rows, len(enumerate_ball(d, t)))) < q
+    got = protected_set(uninf, d, t, rule)
+    want = np.stack([reference_protected_set(row, d, t, rule) for row in uninf])
+    np.testing.assert_array_equal(got, want)

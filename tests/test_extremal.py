@@ -17,7 +17,6 @@ from torusboot.extremal import (
     check_key_lemma,
     check_layer_bounds,
     classify,
-    count_components_band,
     count_min_certificates,
     count_near_minimal,
     exact_joint,
@@ -34,6 +33,11 @@ def column_sites(d, t):
     }
 
 
+def protected_row(d, t, sites, rule):
+    """One row of the batched protected set, for the state with `sites` uninfected."""
+    return dynamics.protected_set(ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, rule)[0]
+
+
 def test_min_size_small_cases():
     assert min_protecting_size(2, 1, Standard(2)) == 4
     assert min_protecting_size(2, 2, Standard(2)) == 8
@@ -46,6 +50,14 @@ def test_budget_refusal_carries_estimate():
         min_protecting_size(2, 2, Standard(2), budget=10)
     assert exc.value.budget == 10
     assert exc.value.estimate > 10
+
+
+def test_huge_estimate_message_is_a_power_of_two():
+    # 20,000 bits is past the 4,300-digit limit of int-to-decimal conversion
+    exc = WorkBudgetExceeded(1 << 20000, 10**8)
+    assert "~2^20000 subset tests, budget is 100000000" in str(exc)
+    assert exc.estimate == 1 << 20000
+    assert "2^20000 " in str(WorkBudgetExceeded((1 << 20000) + 12345, 10**8))
 
 
 def test_cached_sweep_does_not_bypass_the_budget():
@@ -151,6 +163,16 @@ def test_modified_certificates_are_axis_columns():
         frozenset({(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)}),
     }
     assert {c.uninfected for c in certs} == expected
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_modified_minimal_certificates_classify_canonical(d, t):
+    # each minimal modified certificate protects exactly its own axis line
+    count, certs = count_min_certificates(d, t, Modified())
+    tags = [classify(c) for c in certs]
+    assert count == d
+    assert all(tag == Canonical(axis=tag.axis, orientations=(0,) * d) for tag in tags)
+    assert sorted(tag.axis for tag in tags) == list(range(d))
 
 
 def test_classify_column_is_canonical():
@@ -294,7 +316,7 @@ def test_count_near_minimal():
 
 def test_check_key_lemma_tight_on_column():
     d, t = 2, 2
-    protected = dynamics.protected_set(ball_state(d, t, column_sites(d, t)), Standard(d))
+    protected = protected_row(d, t, column_sites(d, t), Standard(d))
     report = check_key_lemma(protected, d, t, (0, 0), (0, 0), t)
     assert report.holds
     assert report.compatible_protected == ell(t, d)
@@ -303,7 +325,7 @@ def test_check_key_lemma_tight_on_column():
 
 def test_check_key_lemma_slack_on_full_ball():
     d, t = 2, 2
-    protected = dynamics.protected_set(ball_state(d, t, set(enumerate_ball(d, t).sites)), Standard(d))
+    protected = protected_row(d, t, set(enumerate_ball(d, t).sites), Standard(d))
     report = check_key_lemma(protected, d, t, (1, 0), (1, 0), 1)
     assert report.holds
     assert report.compatible_protected > report.bound
@@ -311,7 +333,7 @@ def test_check_key_lemma_slack_on_full_ball():
 
 def test_check_key_lemma_preconditions():
     d, t = 2, 2
-    protected = dynamics.protected_set(ball_state(d, t, column_sites(d, t)), Standard(d))
+    protected = protected_row(d, t, column_sites(d, t), Standard(d))
     with pytest.raises(PreconditionError):
         check_key_lemma(protected, d, t, (0, 0), (0, 0), t + 1)  # k too large
     with pytest.raises(PreconditionError):
@@ -322,40 +344,23 @@ def test_check_key_lemma_preconditions():
 
 def test_layer_bounds_column_minimal():
     d, t = 2, 3
-    protected = dynamics.protected_set(ball_state(d, t, column_sites(d, t)), Standard(d))
+    protected = protected_row(d, t, column_sites(d, t), Standard(d))
     reports = check_layer_bounds(protected, d, t)
     assert all(r.holds and r.minimal for r in reports)
 
 
 def test_layer_bounds_full_ball_not_minimal():
     d, t = 2, 2
-    protected = dynamics.protected_set(ball_state(d, t, set(enumerate_ball(d, t).sites)), Standard(d))
+    protected = protected_row(d, t, set(enumerate_ball(d, t).sites), Standard(d))
     reports = check_layer_bounds(protected, d, t)
     assert all(r.holds for r in reports)
     assert not any(r.minimal for r in reports)
 
 
 def test_layer_bounds_requires_protected_origin():
-    protected = dynamics.protected_set(ball_state(2, 2, {(0, 0)}), Standard(2))
+    protected = protected_row(2, 2, {(0, 0)}, Standard(2))
     with pytest.raises(PreconditionError):
         check_layer_bounds(protected, 2, 2)
-
-
-def test_components_band_on_column():
-    # tall column: the band excludes the centre, leaving the two arms
-    d, t = 2, 8
-    state = ball_state(d, t, column_sites(d, t))
-    report = count_components_band(state, Standard(d), r1=2, r2=8, mid=5)
-    assert report.hypotheses_ok
-    assert report.components_meeting_mid == 2
-
-
-def test_components_band_flags_bad_hypotheses():
-    d, t = 2, 2
-    state = ball_state(d, t, column_sites(d, t))
-    report = count_components_band(state, Standard(d), r1=1, r2=2, mid=1)
-    assert not report.hypotheses_ok
-    assert report.failures
 
 
 def test_certificate_json_shape():

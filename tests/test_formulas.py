@@ -117,17 +117,3 @@ def test_poisson_pmf_basics():
     assert formulas.poisson_pmf(-1, 0.7) == 0.0
     assert formulas.poisson_pmf(0, 0.0) == 1.0
     assert sum(formulas.poisson_pmf(k, 3.0) for k in range(80)) == pytest.approx(1.0)
-
-
-def test_tv_distance_examples():
-    po = {k: formulas.poisson_pmf(k, math.log(2)) for k in range(60)}
-    assert formulas.tv_distance(po, po) == 0.0
-    assert formulas.tv_distance({0: 1.0}, po) == pytest.approx(0.5, abs=1e-9)
-
-
-@given(
-    st.dictionaries(st.integers(0, 10), st.floats(0.0, 1.0), max_size=6),
-    st.dictionaries(st.integers(0, 10), st.floats(0.0, 1.0), max_size=6),
-)
-def test_tv_distance_symmetric_nonnegative(p, q):
-    assert formulas.tv_distance(p, q) == formulas.tv_distance(q, p) >= 0.0

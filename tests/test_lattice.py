@@ -1,18 +1,11 @@
 import math
 
-import pytest
+import numpy as np
 from hypothesis import given, strategies as st
 
-from torusboot.lattice import (
-    TorusSpec,
-    ball_size,
-    dependency_offsets,
-    enumerate_ball,
-    enumerate_sphere,
-    l1_norm,
-    torus_neighbors,
-    torus_sites,
-)
+from torusboot import montecarlo
+from torusboot.dynamics import Standard, torus_step_grid
+from torusboot.lattice import ball_size, dependency_offsets, enumerate_ball, l1_norm
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
@@ -25,14 +18,6 @@ def test_ball_size_known_values():
     assert ball_size(2, 2) == 13
     assert ball_size(3, 1) == 7
     assert ball_size(1, 4) == 9
-
-
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=5))
-def test_sphere_partitions_ball(d, t):
-    ball = set(enumerate_ball(d, t).sites)
-    spheres = [set(enumerate_sphere(d, k)) for k in range(t + 1)]
-    assert set().union(*spheres) == ball
-    assert sum(len(s) for s in spheres) == len(ball)
 
 
 def test_enumeration_is_sorted_by_norm_then_lex():
@@ -60,30 +45,35 @@ def test_dependency_offsets_excludes_origin():
     assert all(l1_norm(o) <= 3 for o in offs)
 
 
-def test_torus_spec_validation():
-    with pytest.raises(ValueError):
-        TorusSpec(d=1, n=4)
-    with pytest.raises(ValueError):
-        TorusSpec(d=2, n=1)
+# The torus is a plain grid array: its adjacency is torus_step_grid's, and
+# its site order is the order sample_initial_grid draws in.
 
 
 def test_torus_sites_count_and_order():
-    spec = TorusSpec(d=2, n=3)
-    sites = torus_sites(spec)
-    assert len(sites) == 9
-    assert sites == sorted(sites)
+    # n^d sites, drawn in lexicographic order: site x takes the draw whose
+    # index is x read as a base-n number
+    config = montecarlo.ExperimentConfig(
+        d=2, n=8, rule=Standard(2), q=0.5, t_horizon=1, trials=1, master_seed=3
+    )
+    grid = montecarlo.sample_initial_grid(config, 0)
+    assert grid.shape == (8, 8)
+    rng = np.random.Generator(np.random.PCG64(montecarlo.trial_seed(3, 0)))
+    draws = rng.random(64) < 0.5
+    assert all(grid[x, y] == draws[8 * x + y] for x in range(8) for y in range(8))
 
 
 def test_torus_neighbors_degree_and_multiplicity():
-    spec = TorusSpec(d=2, n=4)
-    nbrs = torus_neighbors(spec, (0, 0))
-    assert sum(nbrs.values()) == 4
-    assert nbrs[(1, 0)] == 1 and nbrs[(3, 0)] == 1
-    # n = 2 folds +e_i and -e_i onto the same site
-    spec2 = TorusSpec(d=2, n=2)
-    nbrs2 = torus_neighbors(spec2, (0, 0))
-    assert sum(nbrs2.values()) == 4
-    assert nbrs2[(1, 0)] == 2
+    # degree 4 on a 4x4 torus: a site with its four neighbours infected
+    # has count 4, enough for r = 4, and wraps around the edges
+    grid = np.zeros((4, 4), dtype=bool)
+    grid[1, 0] = grid[3, 0] = grid[0, 1] = grid[0, 3] = True
+    assert torus_step_grid(grid, Standard(4))[0, 0]
+    # n = 2 folds +e_i and -e_i onto one site, which counts twice: one
+    # infected corner gives each of its neighbours 2 infected adjacencies
+    n2 = np.zeros((2, 2), dtype=bool)
+    n2[0, 0] = True
+    assert torus_step_grid(n2, Standard(2)).tolist() == [[True, True], [True, False]]
+    assert torus_step_grid(n2, Standard(3)).tolist() == [[True, False], [False, False]]
 
 
 def test_ball_size_symmetry_in_d_t():

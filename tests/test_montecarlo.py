@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torusboot import montecarlo as mc
-from torusboot.dynamics import Modified, Standard, Torus
+from torusboot.dynamics import Standard
 from torusboot.formulas import poisson_pmf
 
 
@@ -38,11 +38,10 @@ def test_trial_seed_is_stable_and_distinct():
 
 
 def test_sample_initial_extremes():
-    all_inf = mc.sample_initial(config(q=0.0), 0)
-    assert all_inf.infected.all()
-    none_inf = mc.sample_initial(config(q=1.0), 0)
-    assert not none_inf.infected.any()
-    assert isinstance(all_inf.domain, Torus)
+    all_inf = mc.sample_initial_grid(config(q=0.0), 0)
+    assert all_inf.all() and all_inf.shape == (32, 32)
+    none_inf = mc.sample_initial_grid(config(q=1.0), 0)
+    assert not none_inf.any()
 
 
 def test_sample_initial_reproducible():

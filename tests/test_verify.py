@@ -1,19 +1,17 @@
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 import pytest
 
 from torusboot import dynamics, extremal, verify
 from torusboot.dynamics import Standard
-from torusboot.lattice import l1_norm
+from torusboot.lattice import enumerate_ball, l1_norm
 
 
-def scalar_lemma_counts(d, t, uninf, rule):
+def scalar_lemma_counts(d, t, protected):
     """(n_checks, n_violations) from check_key_lemma over every valid (x, C, k)."""
-    state = dynamics.InfectionState(domain=dynamics.Ball(d=d, t=t), infected=~uninf)
-    protected = dynamics.protected_set(state, rule)
     n_checks = n_viol = 0
-    for x in protected:
+    for x in compress(enumerate_ball(d, t).sites, protected):
         choices = [(-1, 0, 1) if xi == 0 else ((1,) if xi > 0 else (-1,)) for xi in x]
         for config in product(*choices):
             for k in range(t - l1_norm(x) + 1):
@@ -28,9 +26,9 @@ def test_tensor_lemma_counts_match_scalar_checker(d, t):
     rule = Standard(d)
     rng = np.random.Generator(np.random.PCG64(11 * d + t))
     configs = extremal.sample_protected_configs(d, t, rule, 6, rng, q=verify._SAMPLING_Q[d])
-    for uninf in configs:
-        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, uninf, rule)
-        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, uninf, rule)
+    for protected in dynamics.protected_set(np.stack(configs), d, t, rule):
+        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, protected)
+        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, protected)
 
 
 @pytest.mark.parametrize("d,t", [(2, 3), (3, 2)])
@@ -39,13 +37,14 @@ def test_tensor_lemma_counts_violations_like_the_scalar_checker(monkeypatch, d, 
     # the tight checks fail, and both checkers must count the same ones
     rule = Standard(d)
     rng = np.random.Generator(np.random.PCG64(5))
-    (uninf,) = extremal.sample_protected_configs(d, t, rule, 1, rng, q=verify._SAMPLING_Q[d])
+    configs = extremal.sample_protected_configs(d, t, rule, 1, rng, q=verify._SAMPLING_Q[d])
+    (protected,) = dynamics.protected_set(np.stack(configs), d, t, rule)
     real_bound = extremal.key_lemma_bound
     monkeypatch.setattr(extremal, "key_lemma_bound", lambda config, k: real_bound(config, k) + 1)
     verify._config_table.cache_clear()
     try:
-        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, uninf, rule)
-        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, uninf, rule)
+        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, protected)
+        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, protected)
     finally:
         verify._config_table.cache_clear()
     assert 0 < n_viol < n_checks
