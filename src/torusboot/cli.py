@@ -146,7 +146,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
 
     if args.action == "min":
         count, certs = extremal.count_min_certificates(args.d, args.t, rule, budget=args.budget)
-        tags = [c.to_json()["classification"] for c in certs]
+        docs = [c.to_json() for c in certs]  # to_json classifies, so build the documents once
+        tags = [doc["classification"] for doc in docs]
         summary = {
             "d": args.d,
             "t": args.t,
@@ -158,7 +159,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
             "other": tags.count("other"),
         }
         if out_dir is not None:
-            (out_dir / "certificates.json").write_text(extremal.certificates_to_json(certs) + "\n")
+            (out_dir / "certificates.json").write_text(json.dumps(docs, indent=2, sort_keys=True) + "\n")
             header = "d,t,rule,size,count,canonical,semi_canonical,other\n"
             row = ",".join(str(summary[k]) for k in
                            ("d", "t", "rule", "size", "count", "canonical", "semi_canonical", "other"))

@@ -11,7 +11,6 @@ WorkBudgetExceeded rather than running forever.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import compress, product
@@ -28,6 +27,7 @@ if TYPE_CHECKING:
     from . import sweep
 
 DEFAULT_BUDGET = 10**8
+SAMPLER_MAX_BATCHES = 10_000  # sample_protected_configs gives up after this many batches
 
 
 class WorkBudgetExceeded(Exception):
@@ -290,19 +290,6 @@ class RhoPolynomial:
             out["offset"] = list(self.offset)
         return out
 
-    @staticmethod
-    def from_json(doc: dict) -> "RhoPolynomial":
-        tag = doc["rule"]
-        rule: Rule = Modified() if tag == "modified" else Standard(r=int(tag.split("_r")[1]))
-        return RhoPolynomial(
-            d=doc["d"],
-            t=doc["t"],
-            rule=rule,
-            counts=tuple(int(c) for c in doc["counts"]),
-            n_sites=doc["n_sites"],
-            offset=tuple(doc["offset"]) if "offset" in doc else None,
-        )
-
 
 def exact_rho1(d: int, t: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> RhoPolynomial:
     """Exact per-size counts of origin-protecting subsets of B_t."""
@@ -443,7 +430,6 @@ def sample_protected_configs(
     n_configs: int,
     rng: np.random.Generator,
     q: float = 0.85,
-    max_batches: int = 10_000,
 ) -> list[np.ndarray]:
     """Rejection-sample initial states of B_t whose origin is protected.
 
@@ -455,7 +441,7 @@ def sample_protected_configs(
     n_sites = len(ball)
     out: list[np.ndarray] = []
     batch = max(64, min(4096, 4 * n_configs))
-    for _ in range(max_batches):
+    for _ in range(SAMPLER_MAX_BATCHES):
         uninf = rng.random((batch, n_sites)) < q
         good = dynamics.protects_origin(uninf, d, t, rule)
         for row in np.flatnonzero(good):
@@ -467,7 +453,3 @@ def sample_protected_configs(
 
 # perfbench/test_perfbench.py redraws the sampler's batches through this name
 _batch_protects_origin = dynamics.protects_origin
-
-
-def certificates_to_json(certs: list[Certificate]) -> str:
-    return json.dumps([c.to_json() for c in certs], indent=2, sort_keys=True)

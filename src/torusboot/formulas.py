@@ -47,25 +47,37 @@ def m_general(t: int, d: int, r: int) -> int:
     return total
 
 
-def minimal_protecting_size(t: int, d: int, rule: Rule) -> int:
-    """Minimum number of uninfected sites in B_t protecting the origin:
-    m(t, d) for the standard d-neighbour rule, 2t+1 for the modified rule."""
+def leading_term(t: int, d: int, rule: Rule) -> tuple[int, int]:
+    """(count, size) of the minimal subsets of B_t that protect the origin,
+    so that the leading term of lambda is count * n^d * q^size.
+
+    Standard rule (r = d): the origin alone at t = 0, the origin and d+1 of
+    its 2d neighbours at t = 1, and d^3 2^(d-1) columns from t = 2 on, all
+    of size m(t, d).  Modified rule: the origin at t = 0, then the d axis
+    lines of 2t+1 sites.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if isinstance(rule, Standard):
         if rule.r != d:
             raise ValueError("closed form is known only for the d-neighbour threshold")
-        return m(t, d)
-    return 2 * t + 1
+        count = 1 if t == 0 else math.comb(2 * d, d + 1) if t == 1 else d**3 * 2 ** (d - 1)
+        return count, m(t, d)
+    return (1 if t == 0 else d), 2 * t + 1
 
 
 def lambda_leading(n: int, d: int, t: int, q: float, rule: Rule) -> float:
     """Leading-order mean of the uninfected count at time t."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if isinstance(rule, Standard):
-        if rule.r != d:
-            raise ValueError("closed form is known only for the d-neighbour threshold")
-        return d**3 * 2 ** (d - 1) * n**d * q ** m(t, d)
-    return d * n**d * q ** (2 * t + 1)
+    count, size = leading_term(t, d, rule)
+    return count * n**d * q**size
+
+
+def q_at_lambda(lam: float, n: int, d: int, t: int, rule: Rule) -> float:
+    """The q at which the leading-order mean of F_t equals lam."""
+    count, size = leading_term(t, d, rule)
+    return (lam / (count * n**d)) ** (1.0 / size)
 
 
 @dataclass(frozen=True)
@@ -93,51 +105,29 @@ def p_alpha(query: ThresholdQuery) -> float:
     Solves alpha = exp(-lambda) for the leading-order lambda; the dropped
     (1+o(1)) factor means this is an asymptotic prediction, not exact.
     """
-    log_term = math.log(1.0 / query.alpha)
-    if isinstance(query.rule, Standard):
-        if query.rule.r != query.d:
-            raise ValueError("closed form is known only for the d-neighbour threshold")
-        denom = query.d**3 * 2 ** (query.d - 1) * query.n**query.d
-        exponent = 1.0 / m(query.t, query.d)
-    else:
-        denom = query.d * query.n**query.d
-        exponent = 1.0 / (2 * query.t + 1)
-    return 1.0 - (log_term / denom) ** exponent
+    lam = math.log(1.0 / query.alpha)
+    return 1.0 - q_at_lambda(lam, query.n, query.d, query.t, query.rule)
 
 
-def stein_chen_rhs(
-    n: int,
-    d: int,
-    t: int,
-    rho1: float,
-    rho2_by_offset: dict[Site, float],
-    *,
-    fill_boundary_with_product: bool = False,
-) -> float:
+def stein_chen_rhs(n: int, d: int, t: int, rho1: float, rho2_by_offset: dict[Site, float]) -> float:
     """Barbour-Eagleson bound on d_TV(F_t(n), Po(n^d rho1)).
 
     Specialised to translation invariance: the dependency neighbourhood of
     every site is the ball of radius 2t+1 around it, so the double sums
     collapse to n^d times per-offset terms.  Offsets at norm exactly 2t+1
-    may be auto-filled with rho1^2 (disjoint dependency balls).
+    need no entry: their two radius-t balls are disjoint, so rho2 there is
+    rho1^2.
     """
     if not 0.0 <= rho1 <= 1.0:
         raise ValueError("rho1 must lie in [0, 1]")
     offsets = dependency_offsets(d, t)
-    rho2 = dict(rho2_by_offset)
     boundary = 2 * t + 1
-    missing = []
-    for off in offsets:
-        if off not in rho2:
-            if fill_boundary_with_product and l1_norm(off) == boundary:
-                rho2[off] = rho1 * rho1
-            else:
-                missing.append(off)
+    missing = [off for off in offsets if off not in rho2_by_offset and l1_norm(off) < boundary]
     if missing:
         raise ValueError(f"rho2 missing for {len(missing)} offsets, e.g. {missing[0]}")
     lam = n**d * rho1
     nbhd_size = len(offsets) + 1
-    pair_sum = sum(rho2[off] for off in offsets)
+    pair_sum = sum(rho2_by_offset.get(off, rho1 * rho1) for off in offsets)
     scale = min(1.0, 1.0 / lam) if lam > 0 else 1.0
     return scale * n**d * (nbhd_size * rho1 * rho1 + pair_sum)
 

@@ -1,9 +1,9 @@
 """Seeded, parallel Monte Carlo experiments on the torus.
 
 Reproducibility contract: the initial state of trial i is a pure function
-of (master_seed, i) via a splitmix64 mix, and histograms are merged by
-commutative addition, so results are bit-identical for any thread count
-and schedule.
+of (master_seed, i) via a splitmix64 mix, and the outcomes are added to
+one histogram in trial-index order, so results are bit-identical for any
+thread count and schedule.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class EmpiricalDistribution:
         else:
             self.histogram[outcome] += 1
 
-    def merge(self, other: "EmpiricalDistribution") -> None:
-        self.histogram.update(other.histogram)
-        self.trials += other.trials
-        self.stuck_count += other.stuck_count
-
     def to_csv(self) -> str:
         lines = ["outcome,count"]
         for k in sorted(self.histogram):
@@ -121,7 +116,7 @@ def _map_trials(config: ExperimentConfig, fn) -> EmpiricalDistribution:
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = pool.map(fn, indices, chunksize=16)
-    # merge order is fixed by trial index; addition is commutative anyway
+    # pool.map yields in trial-index order, whatever order the trials finish in
     for outcome in results:
         dist.add(outcome)
     return dist

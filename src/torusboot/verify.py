@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics, extremal, formulas, montecarlo
 from .dynamics import Modified, Standard
-from .lattice import enumerate_ball, l1_norm
+from .lattice import dependency_offsets, enumerate_ball, l1_norm
 
 # Fixed so the statistical criteria are reproducible decisions, not coin
 # flips: the true TV in the Poisson regime is ~0.048, right at the 0.05
@@ -53,11 +53,11 @@ def criterion_extremal_sizes() -> CriterionReport:
     rep = CriterionReport("extremal sizes: min_protecting_size equals m(t,d) / 2t+1", True)
     for d, t in SIZE_INSTANCES:
         got = extremal.min_protecting_size(d, t, Standard(d))
-        want = formulas.m(t, d)
+        want = formulas.leading_term(t, d, Standard(d))[1]
         _check(rep, got == want, f"standard d={d} t={t}: {got} (expected {want})")
     for d, t in SIZE_INSTANCES:
         got = extremal.min_protecting_size(d, t, Modified())
-        want = 2 * t + 1
+        want = formulas.leading_term(t, d, Modified())[1]
         _check(rep, got == want, f"modified d={d} t={t}: {got} (expected {want})")
     return rep
 
@@ -65,16 +65,19 @@ def criterion_extremal_sizes() -> CriterionReport:
 def criterion_extremal_counts() -> CriterionReport:
     """Counts of minimal certificates, and zero unclassifiable ones at t>=2."""
     rep = CriterionReport("extremal counts: d^3 2^(d-1) standard, d modified, zero Other", True)
-    for d, t, want in [(2, 2, 16), (2, 3, 16), (3, 2, 108)]:
+    instances = [(2, 2), (2, 3), (3, 2)]
+    for d, t in instances:
         n, certs = extremal.count_min_certificates(d, t, Standard(d))
+        want = formulas.leading_term(t, d, Standard(d))[0]
         _check(rep, n == want, f"standard d={d} t={t}: {n} certificates (expected {want})")
         n_other = sum(
             1 for c in certs if isinstance(extremal.classify(c), extremal.Other)
         )
         _check(rep, n_other == 0, f"standard d={d} t={t}: {n_other} unclassified (expected 0)")
-    for d, t in [(2, 2), (2, 3), (3, 2)]:
+    for d, t in instances:
         n, _ = extremal.count_min_certificates(d, t, Modified())
-        _check(rep, n == d, f"modified d={d} t={t}: {n} certificates (expected {d})")
+        want = formulas.leading_term(t, d, Modified())[0]
+        _check(rep, n == want, f"modified d={d} t={t}: {n} certificates (expected {want})")
     return rep
 
 
@@ -230,13 +233,13 @@ POISSON_TRIALS_T = 1000
 
 
 def poisson_regime_q(n: int = POISSON_N) -> float:
-    """q solving 16 n^2 q^8 = 2 (the lambda = 2 leading-order regime)."""
-    return (2.0 / (16.0 * n * n)) ** (1.0 / 8.0)
+    """q at which the standard-rule leading term 16 n^2 q^8 equals 2."""
+    return formulas.q_at_lambda(2.0, n, 2, 2, Standard(2))
 
 
 def modified_regime_q(n: int = POISSON_N) -> float:
-    """q solving 2 n^2 q^3 = 2."""
-    return (1.0 / (n * n)) ** (1.0 / 3.0)
+    """q at which the modified-rule leading term 2 n^2 q^3 equals 2."""
+    return formulas.q_at_lambda(2.0, n, 2, 1, Modified())
 
 
 def lambda_exact_standard(n: int = POISSON_N) -> float:
@@ -283,38 +286,35 @@ def regime_runs(threads: int, seed: int = MASTER_SEED) -> dict:
     return out
 
 
-def criterion_poisson(threads: int = 4, *, with_joint: bool = False) -> CriterionReport:
-    """TV distance between the empirical F_2 distribution and Po(lambda_exact)."""
+def criterion_poisson(threads: int = 4) -> CriterionReport:
+    """TV distance between the empirical F_2 distribution and Po(lambda_exact),
+    and the Barbour-Eagleson bound on it from exact rho1/rho2 inputs."""
     rep = CriterionReport("Poisson approximation: TV(empirical F_2, Po(lambda_exact)) <= 0.05", True)
     lam = lambda_exact_standard()
     dist = regime_runs(threads)["F"]
     tv = montecarlo.tv_report(dist, lam)
     rep.details.append(f"q={poisson_regime_q():.6f} lambda_exact={lam:.6f} TV={tv:.6f}")
     _check(rep, tv <= 0.05, f"TV {tv:.4f} <= 0.05")
-    if with_joint:
-        rhs = stein_chen_bound_exact()
-        _check(rep, tv <= rhs + 0.03, f"TV {tv:.4f} <= Barbour-Eagleson {rhs:.4f} + 0.03")
+    rhs = stein_chen_bound_exact()
+    _check(rep, tv <= rhs + 0.03, f"TV {tv:.4f} <= Barbour-Eagleson {rhs:.4f} + 0.03")
     return rep
 
 
-def stein_chen_bound_exact(budget: int = 10**9) -> float:
+def stein_chen_bound_exact() -> float:
     """Barbour-Eagleson RHS with exact rho1/rho2 inputs (d=2, t=2 regime).
 
-    The joint enumeration runs over up to 2^26 states per offset; opt-in
-    because it is much slower than the rest of the suite.
+    rho2 is exact_joint on every offset of norm <= 4, a sweep over at most
+    2^25 subsets each; stein_chen_rhs supplies rho1^2 at norm 5.
     """
     n = POISSON_N
     q = poisson_regime_q(n)
     rho1 = extremal.exact_rho1(2, 2).evaluate(q)
-    rho2 = {}
-    for off in enumerate_ball(2, 5).sites:
-        if not any(off):
-            continue
-        if l1_norm(off) >= 5:
-            continue  # filled with rho1^2 by stein_chen_rhs
-        poly = extremal.exact_joint(2, 2, off, budget=budget)
-        rho2[off] = poly.evaluate(q)
-    return formulas.stein_chen_rhs(n, 2, 2, rho1, rho2, fill_boundary_with_product=True)
+    rho2 = {
+        off: extremal.exact_joint(2, 2, off).evaluate(q)
+        for off in dependency_offsets(2, 2)
+        if l1_norm(off) < 5
+    }
+    return formulas.stein_chen_rhs(n, 2, 2, rho1, rho2)
 
 
 def criterion_concentration(threads: int = 4) -> CriterionReport:

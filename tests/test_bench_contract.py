@@ -47,3 +47,11 @@ def test_batch_protects_origin_takes_a_batch():
     uninf = np.ones((5, len(enumerate_ball(2, 2))), dtype=bool)
     uninf[1:, 0] = False  # the origin, site 0, starts infected in rows 1..4
     assert extremal._batch_protects_origin(uninf, 2, 2, Standard(2)).tolist() == [True] + [False] * 4
+
+
+def test_regime_setup_calls_run():
+    # the regime set-up writes these four values into its experiment configs
+    for q in (verify.poisson_regime_q(512), verify.modified_regime_q(512)):
+        assert isinstance(q, float) and 0.0 < q < 1.0
+    for lam in (verify.lambda_exact_standard(512), verify.lambda_exact_modified(512)):
+        assert isinstance(lam, float) and 1.0 < lam < 3.0

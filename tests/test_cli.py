@@ -1,9 +1,10 @@
+import hashlib
 import json
 import re
 
 import pytest
 
-from torusboot import cli
+from torusboot import cli, extremal
 
 
 def run(argv):
@@ -23,6 +24,13 @@ def test_formulas_leading_order_label(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["label"] == "leading-order"
     assert doc["value"] == pytest.approx(0.8799, abs=1e-4)
+
+
+@pytest.mark.parametrize("t,want", [(0, 10.0), (1, 0.04)])
+def test_formulas_lambda_leading_at_t_le_1(capsys, t, want):
+    # t = 0: E[F_0] = n^d q; t = 1: 4 minimal sets of 4 sites (origin and 3 neighbours)
+    assert run(["formulas", "lambda-leading", "--d", "2", "--t", str(t), "--n", "10", "--q", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(want)
 
 
 def test_formulas_missing_param_is_usage_error(capsys):
@@ -46,6 +54,18 @@ def test_extremal_min_writes_outputs(tmp_path, capsys):
     assert csv.startswith("d,t,rule,size,count,canonical,semi_canonical,other\n")
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"certificates.json", "summary.csv"}
+
+
+def test_extremal_min_classifies_each_certificate_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    classify = extremal.classify
+    monkeypatch.setattr(extremal, "classify", lambda cert: calls.append(cert) or classify(cert))
+    out = tmp_path / "min"
+    assert run(["extremal", "min", "--d", "2", "--t", "2", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == len(calls) == len(set(calls)) == 16
+    # the file's bytes as they were when every certificate was classified twice
+    digest = hashlib.sha256((out / "certificates.json").read_bytes()).hexdigest()
+    assert digest == "bc064385e2d5def2c0a412fedcced09047ff0cb027c4ea9a1f362b40cbd57b93"
 
 
 def test_extremal_rho1(capsys):

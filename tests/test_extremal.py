@@ -1,4 +1,5 @@
-from itertools import combinations, permutations
+import math
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from torusboot.extremal import (
     Canonical,
     Other,
     PreconditionError,
-    RhoPolynomial,
     SemiCanonical,
     WorkBudgetExceeded,
     check_key_lemma,
     check_layer_bounds,
+    classification_tag,
     classify,
     count_min_certificates,
     count_near_minimal,
@@ -23,7 +24,7 @@ from torusboot.extremal import (
     exact_rho1,
     min_protecting_size,
 )
-from torusboot.formulas import ell, m
+from torusboot.formulas import ell, leading_term, m
 from torusboot.lattice import dependency_offsets, enumerate_ball
 
 
@@ -134,19 +135,60 @@ def test_count_certificates_2_2():
     assert not any(isinstance(c, Other) for c in tags)
 
 
+def signed_permutations(d):
+    """The hyperoctahedral group, of order 2^d d!: every signed permutation
+    of the axes, as a map on sites.  The rules, the balls and the
+    protection events are all invariant under it."""
+    return [
+        lambda s, perm=perm, signs=signs: tuple(e * s[i] for i, e in zip(perm, signs))
+        for perm in permutations(range(d))
+        for signs in product((1, -1), repeat=d)
+    ]
+
+
 def test_certificates_closed_under_symmetry():
-    # protection is symmetric under signed coordinate permutations, so the
-    # certificate set must be a union of orbits
-    _, certs = count_min_certificates(2, 2, Standard(2))
-    cert_sets = {c.uninfected for c in certs}
-    for cert in certs:
-        for perm in permutations(range(2)):
-            for sx in (1, -1):
-                for sy in (1, -1):
-                    image = frozenset(
-                        (sx * s[perm[0]], sy * s[perm[1]]) for s in cert.uninfected
-                    )
-                    assert image in cert_sets
+    # the minimal certificate set must be a union of orbits
+    for d, t in [(2, 2), (2, 3), (3, 2)]:
+        _, certs = count_min_certificates(d, t, Standard(d))
+        cert_sets = {c.uninfected for c in certs}
+        group = signed_permutations(d)
+        assert len(group) == 2**d * math.factorial(d)
+        for cert in certs:
+            for g in group:
+                assert frozenset(map(g, cert.uninfected)) in cert_sets
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2)])
+def test_classification_is_constant_on_orbits(d, t):
+    # canonical vs semi-canonical is read off column templates; the group
+    # is an independent check that the split follows whole orbits
+    _, certs = count_min_certificates(d, t, Standard(d))
+    tags = {c.uninfected: classification_tag(classify(c)) for c in certs}
+    assert set(tags.values()) == {"canonical", "semi-canonical"}
+    for sites, tag in tags.items():
+        for g in signed_permutations(d):
+            assert tags[frozenset(map(g, sites))] == tag
+
+
+@pytest.mark.parametrize("rule", [Standard(2), Modified()], ids=["standard", "modified"])
+def test_exact_joint_counts_are_constant_on_offset_orbits(rule):
+    counts = {off: exact_joint(2, 1, off, rule).counts for off in dependency_offsets(2, 1)}
+    assert len(set(counts.values())) > 1  # the counts do tell offsets apart
+    for off, c in counts.items():
+        for g in signed_permutations(2):
+            assert counts[g(off)] == c
+
+
+@pytest.mark.parametrize(
+    "d,t,rule",
+    [(2, t, rule) for t in range(4) for rule in (Standard(2), Modified())]
+    + [(3, t, rule) for t in range(3) for rule in (Standard(3), Modified())]
+    + [(4, t, rule) for t in range(2) for rule in (Standard(4), Modified())]
+    + [(4, 2, Modified())],
+)
+def test_leading_term_matches_the_oracle(d, t, rule):
+    want = (count_min_certificates(d, t, rule)[0], min_protecting_size(d, t, rule))
+    assert leading_term(t, d, rule) == want
 
 
 def test_count_certificates_t1_regression():
@@ -258,11 +300,15 @@ def test_packed_kernel_matches_boolean_reference(case):
     np.testing.assert_array_equal(got, want)
 
 
-def test_rho_polynomial_json_roundtrip():
-    poly = exact_rho1(2, 1)
-    assert RhoPolynomial.from_json(poly.to_json()) == poly
-    joint = exact_joint(2, 1, (1, 0))
-    assert RhoPolynomial.from_json(joint.to_json()) == joint
+def test_rho_polynomial_to_json():
+    # the document `torusboot extremal rho1|joint` writes
+    assert exact_rho1(2, 1).to_json() == {
+        "d": 2, "t": 1, "rule": "standard_r2", "n_sites": 5, "counts": [0, 0, 0, 0, 4, 1],
+    }
+    joint = exact_joint(2, 1, (1, 0), Modified())
+    doc = joint.to_json()
+    assert doc["rule"] == "modified" and doc["offset"] == [1, 0]
+    assert doc["counts"] == list(joint.counts) and doc["n_sites"] == len(joint.counts) - 1 == 8
 
 
 def test_exact_rho1_total_count():

@@ -51,9 +51,31 @@ def test_m_general_rejects_bad_threshold():
         formulas.m_general(2, 3, 4)
 
 
-def test_minimal_protecting_size_dispatch():
-    assert formulas.minimal_protecting_size(2, 2, Standard(2)) == 8
-    assert formulas.minimal_protecting_size(2, 2, Modified()) == 5
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_leading_term_closed_forms(d):
+    assert formulas.leading_term(0, d, Standard(d)) == (1, 1)
+    assert formulas.leading_term(1, d, Standard(d)) == (math.comb(2 * d, d + 1), d + 2)
+    for t in (2, 3, 7):
+        assert formulas.leading_term(t, d, Standard(d)) == (d**3 * 2 ** (d - 1), formulas.m(t, d))
+    assert formulas.leading_term(0, d, Modified()) == (1, 1)
+    for t in (1, 2, 7):
+        assert formulas.leading_term(t, d, Modified()) == (d, 2 * t + 1)
+
+
+def test_leading_term_rejects_other_thresholds_and_negative_t():
+    with pytest.raises(ValueError, match="d-neighbour"):
+        formulas.leading_term(2, 2, Standard(3))
+    with pytest.raises(ValueError, match="d-neighbour"):
+        formulas.lambda_leading(10, 3, 2, 0.1, Standard(2))
+    with pytest.raises(ValueError, match="t must be"):
+        formulas.leading_term(-1, 2, Modified())
+
+
+@pytest.mark.parametrize("d,t,rule", [(2, 0, Standard(2)), (2, 1, Standard(2)), (3, 2, Standard(3)),
+                                      (2, 0, Modified()), (3, 1, Modified()), (2, 3, Modified())])
+def test_q_at_lambda_inverts_lambda_leading(d, t, rule):
+    q = formulas.q_at_lambda(2.0, 64, d, t, rule)
+    assert formulas.lambda_leading(64, d, t, q, rule) == pytest.approx(2.0)
 
 
 def test_lambda_leading_examples():
@@ -103,13 +125,12 @@ def test_stein_chen_missing_offsets_rejected():
 
 
 def test_stein_chen_boundary_fill():
+    # leaving out the norm-(2t+1) offsets is the same as supplying rho1^2 there
     n, d, t = 64, 2, 1
     rho1 = 1e-4
-    inner = {o: rho1 * rho1 for o in dependency_offsets(d, t) if sum(abs(c) for c in o) < 3}
-    full = {o: rho1 * rho1 for o in dependency_offsets(d, t)}
-    assert formulas.stein_chen_rhs(
-        n, d, t, rho1, inner, fill_boundary_with_product=True
-    ) == pytest.approx(formulas.stein_chen_rhs(n, d, t, rho1, full))
+    inner = {o: 3e-9 for o in dependency_offsets(d, t) if sum(abs(c) for c in o) < 3}
+    full = inner | {o: rho1 * rho1 for o in dependency_offsets(d, t) if o not in inner}
+    assert formulas.stein_chen_rhs(n, d, t, rho1, inner) == formulas.stein_chen_rhs(n, d, t, rho1, full)
 
 
 def test_poisson_pmf_basics():

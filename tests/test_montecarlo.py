@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -165,22 +164,6 @@ def test_stuck_mass_counts_fully_against_poisson():
         dist.add(None)
     assert dist.stuck_count == 10
     assert mc.tv_report(dist, 0.0) == pytest.approx(1.0)
-
-
-def test_empirical_distribution_merge_commutes():
-    a = mc.EmpiricalDistribution()
-    b = mc.EmpiricalDistribution()
-    for k in (1, 2, 2, None):
-        a.add(k)
-    for k in (2, 3, None):
-        b.add(k)
-    ab = dataclasses.replace(a, histogram=a.histogram.copy())
-    ab.merge(b)
-    ba = dataclasses.replace(b, histogram=b.histogram.copy())
-    ba.merge(a)
-    assert ab.histogram == ba.histogram
-    assert ab.trials == ba.trials == 7
-    assert ab.stuck_count == ba.stuck_count == 2
 
 
 def test_csv_format():

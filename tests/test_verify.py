@@ -1,10 +1,11 @@
+import math
 from itertools import compress, product
 
 import numpy as np
 import pytest
 
-from torusboot import dynamics, extremal, verify
-from torusboot.dynamics import Standard
+from torusboot import dynamics, extremal, formulas, verify
+from torusboot.dynamics import Modified, Standard
 from torusboot.lattice import enumerate_ball, l1_norm
 
 
@@ -78,3 +79,28 @@ def test_regime_runs_cache_is_keyed_by_seed(monkeypatch):
     assert (seven["T"], seven["T_mod"], seven["pairs"]) == (8, 9, 10)
     assert (eight["T"], eight["T_mod"], eight["pairs"]) == (9, 10, 11)
     assert verify.regime_runs(1, seed=7) is seven
+
+
+def test_regime_inputs_are_pinned_bit_for_bit():
+    # the benchmark's regime digests depend on q to the last bit; the right
+    # hand sides are the hand-solved forms that preceded formulas.q_at_lambda
+    for n in range(8, 4097):
+        assert verify.poisson_regime_q(n) == (2.0 / (16.0 * n * n)) ** (1.0 / 8.0)
+        assert verify.modified_regime_q(n) == (1.0 / (n * n)) ** (1.0 / 3.0)
+    for n in (2, 10, 100, 512, 1000, 4096, 10**6):
+        for alpha in (1e-6, 0.01, 0.1, 0.5, 0.9, 1 - 1e-9):
+            log_term = math.log(1.0 / alpha)
+            for d in (2, 3, 4):
+                for t in (2, 3, 5):
+                    query = formulas.ThresholdQuery(d=d, n=n, t=t, alpha=alpha, rule=Standard(d))
+                    want = 1.0 - (log_term / (d**3 * 2 ** (d - 1) * n**d)) ** (1.0 / formulas.m(t, d))
+                    assert formulas.p_alpha(query) == want
+                for t in (1, 2, 4):
+                    query = formulas.ThresholdQuery(d=d, n=n, t=t, alpha=alpha, rule=Modified())
+                    assert formulas.p_alpha(query) == 1.0 - (log_term / (d * n**d)) ** (1.0 / (2 * t + 1))
+
+
+def test_stein_chen_bound_exact_pinned():
+    # criterion 07 checks TV <= RHS + 0.03, which a loose RHS passes whatever
+    # it is; pinning the value catches a wrong rho1 or rho2 input
+    assert verify.stein_chen_bound_exact() == pytest.approx(0.24869794313696902, rel=1e-12)
