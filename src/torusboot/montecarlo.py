@@ -47,6 +47,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.t_horizon < 0:
+            raise ValueError(f"t_horizon must be >= 0, got {self.t_horizon}")
         check_rule(self.rule, self.d)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -108,16 +112,19 @@ def _percolation_time(infected: np.ndarray, rule: Rule) -> int | None:
     return steps if uninfected == 0 else None
 
 
-def _map_trials(config: ExperimentConfig, fn) -> EmpiricalDistribution:
-    dist = EmpiricalDistribution()
+def _map_trials(config: ExperimentConfig, fn) -> list:
+    """fn(i) for every trial index i on config.threads threads, in trial-index order."""
     indices = range(config.trials)
     if config.threads == 1:
-        results = map(fn, indices)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = pool.map(fn, indices, chunksize=16)
-    # pool.map yields in trial-index order, whatever order the trials finish in
-    for outcome in results:
+        return list(map(fn, indices))
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        # pool.map yields in trial-index order, whatever order the trials finish in
+        return list(pool.map(fn, indices, chunksize=16))
+
+
+def _histogram(outcomes: list[int | None]) -> EmpiricalDistribution:
+    dist = EmpiricalDistribution()
+    for outcome in outcomes:
         dist.add(outcome)
     return dist
 
@@ -128,7 +135,7 @@ def run_trials_T(config: ExperimentConfig) -> EmpiricalDistribution:
     def one(i: int) -> int | None:
         return _percolation_time(sample_initial_grid(config, i), config.rule)
 
-    return _map_trials(config, one)
+    return _histogram(_map_trials(config, one))
 
 
 def run_trials_F(config: ExperimentConfig, t: int) -> EmpiricalDistribution:
@@ -137,7 +144,7 @@ def run_trials_F(config: ExperimentConfig, t: int) -> EmpiricalDistribution:
     def one(i: int) -> int:
         return torus_run(sample_initial_grid(config, i), config.rule, t)[1]
 
-    return _map_trials(config, one)
+    return _histogram(_map_trials(config, one))
 
 
 def estimate_P_T_le_t(dist: EmpiricalDistribution, t: int, level: float = 0.95) -> EstimateWithCI:
@@ -162,12 +169,12 @@ def coupled_monotonicity(
     """
     if not 0.0 <= q_low <= q_high <= 1.0:
         raise ValueError("need 0 <= q_low <= q_high <= 1")
-    pairs: list[tuple[int | None, int | None]] = []
-    for i in range(config.trials):
+
+    def one(i: int) -> tuple[int | None, int | None]:
         u = _uniforms(config, i)
-        low, high = (_percolation_time(u < 1.0 - q, config.rule) for q in (q_low, q_high))
-        pairs.append((low, high))
-    return pairs
+        return tuple(_percolation_time(u < 1.0 - q, config.rule) for q in (q_low, q_high))
+
+    return _map_trials(config, one)
 
 
 def tv_report(dist: EmpiricalDistribution, lam: float) -> float:

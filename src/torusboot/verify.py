@@ -103,23 +103,31 @@ _SAMPLING_Q = {2: 0.80, 3: 0.85}
 
 
 @lru_cache(maxsize=None)
-def _config_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 3^d configurations C in {-1,0,1}^d, and bound[C, k] for k = 0..t."""
+def _lemma_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(pair_bin, compatible, checked, bound) over the sites of enumerate_ball(d, t).
+
+    A sign pattern P and a configuration C share one index, their order in
+    product((-1, 0, 1), repeat=d).
+    pair_bin[x, y]    P(sign(y - x)) * (2t+1) + ||y - x||
+    compatible[C, P]  C_i P_i >= 0 on every axis
+    checked[x, C, k]  C equals sign(x_i) on every nonzero x_i, and k <= t - ||x||
+    bound[C, k]       extremal.key_lemma_bound(C, k)
+    """
     configs = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
-    bound = np.array(
-        [[extremal.key_lemma_bound(tuple(int(c) for c in C), k) for k in range(t + 1)] for C in configs],
-        dtype=np.int64,
-    )
-    configs.flags.writeable = bound.flags.writeable = False  # shared by every caller
-    return configs, bound
-
-
-@lru_cache(maxsize=None)
-def _ball_coords(d: int, t: int) -> np.ndarray:
-    """(n_sites, d) coordinates of enumerate_ball(d, t).sites."""
     coords = np.array(enumerate_ball(d, t).sites, dtype=np.int64)
-    coords.flags.writeable = False  # shared by every caller
-    return coords
+    diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]  # [x, y, axis] = y - x
+    pattern = (np.sign(diff) + 1) @ 3 ** np.arange(d - 1, -1, -1)
+    pair_bin = pattern * (2 * t + 1) + np.abs(diff).sum(axis=2)
+    # float64, so the per-configuration product runs in BLAS; counts stay exact
+    compatible = (configs[:, np.newaxis, :] * configs[np.newaxis, :, :] >= 0).all(axis=2).astype(np.float64)
+    signs = np.sign(coords)[:, np.newaxis, :]
+    aligned = ((signs == 0) | (signs == configs)).all(axis=2)  # [x, C]
+    in_range = np.arange(t + 1) <= t - np.abs(coords).sum(axis=1)[:, np.newaxis]  # [x, k]
+    checked = aligned[:, :, np.newaxis] & in_range[:, np.newaxis, :]
+    bound = np.array([[extremal.key_lemma_bound(tuple(C), k) for k in range(t + 1)] for C in configs.tolist()])
+    for table in (pair_bin, compatible, checked, bound):
+        table.flags.writeable = False  # shared by every caller
+    return pair_bin, compatible, checked, bound
 
 
 def _lemma_violations_for_config(d: int, t: int, protected: np.ndarray) -> tuple[int, int, bool]:
@@ -133,33 +141,20 @@ def _lemma_violations_for_config(d: int, t: int, protected: np.ndarray) -> tuple
     with ||y - x|| = k satisfy (y_i - x_i) C_i >= 0 on every axis than
     key_lemma_bound(C, k).
 
-    All checks are decided at once.  compatible[c + 1, i, x, y] says that
-    axis i of y - x is allowed by C_i = c; for each valid (C, x) pair the
-    d planes are ANDed, and the compatible sites are counted per distance
-    with one bincount over (pair, k).
+    All checks are decided at once.  One bincount gives, for every
+    protected x, the protected sites y per (sign pattern of y - x,
+    distance); a configuration's count is the sum over the patterns it is
+    compatible with, one matrix product for every x and k.
     """
-    coords = _ball_coords(d, t)[protected]
-    diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]  # [x, y, axis] = y - x
-    dist = np.abs(diff).sum(axis=2)
-    norms = np.abs(coords).sum(axis=1)
-    configs, bound = _config_table(d, t)
-
-    axis_diff = diff.transpose(2, 0, 1)  # [axis, x, y]
-    compatible = np.stack([axis_diff <= 0, np.ones(axis_diff.shape, dtype=bool), axis_diff >= 0])
-    signs = np.sign(coords)
-    valid = ((signs == 0) | (configs[:, np.newaxis, :] == signs)).all(axis=2)
-    ci, xi = np.nonzero(valid)  # the valid (C, x) pairs
-
-    compat = compatible[configs[ci, 0] + 1, 0, xi]
-    for axis in range(1, d):
-        compat &= compatible[configs[ci, axis] + 1, axis, xi]
-    n_pairs, width = ci.size, 2 * t + 1
-    pair_dist = np.arange(n_pairs)[:, np.newaxis] * width + dist[xi]
-    counts = np.bincount(pair_dist[compat], minlength=n_pairs * width).reshape(n_pairs, width)
-
-    in_range = np.arange(t + 1)[np.newaxis, :] <= (t - norms[xi])[:, np.newaxis]
-    n_checks = int(in_range.sum())
-    n_viol = int((in_range & (counts[:, : t + 1] < bound[ci])).sum())
+    pair_bin, compatible, checked, bound = _lemma_table(d, t)
+    idx = np.flatnonzero(protected)
+    n_bins = compatible.shape[0] * (2 * t + 1)
+    bins = pair_bin[idx][:, idx] + n_bins * np.arange(idx.size)[:, np.newaxis]
+    hist = np.bincount(bins.ravel(), minlength=n_bins * idx.size).reshape(idx.size, -1, 2 * t + 1)
+    counts = compatible @ hist[:, :, : t + 1]  # [x, C, k]
+    checks = checked[idx]
+    n_checks = int(checks.sum())
+    n_viol = int((checks & (counts < bound)).sum())
     layers_ok = all(r.holds for r in extremal.check_layer_bounds(protected, d, t))
     return n_checks, n_viol, layers_ok
 
@@ -191,16 +186,11 @@ def criterion_union_bound() -> CriterionReport:
     m_1 + 1 = 5 uninfected sites in the union of the two balls."""
     rep = CriterionReport("union bound: two protected sites need >= m_t + 1 uninfected (d=2, t=1)", True)
     d, t = 2, 1
-    offsets = [s for s in enumerate_ball(d, 2 * t).sites if any(s)] + [
-        s for s in enumerate_ball(d, 2 * t + 1).sites if l1_norm(s) == 2 * t + 1
-    ]
-    # offsets with norm <= 2 per the lemma; norm-3 included as the trivial edge
     want = formulas.m(t, d) + 1
-    for off in offsets:
-        poly = extremal.exact_joint(d, t, off)
-        min_u = next((u for u, c in enumerate(poly.counts) if c), None)
-        ok = min_u is not None and min_u >= want
-        _check(rep, ok, f"offset {off}: smallest joint-protecting size {min_u} (need >= {want})")
+    # offsets with norm <= 2 per the lemma; norm-3 included as the trivial edge
+    for off in dependency_offsets(d, t):
+        min_u = extremal.exact_joint(d, t, off).min_size
+        _check(rep, min_u >= want, f"offset {off}: smallest joint-protecting size {min_u} (need >= {want})")
     return rep
 
 

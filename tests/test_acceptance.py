@@ -2,8 +2,8 @@
 
 Each test prints a single pass/fail line; tolerances live in the verify
 module so the CLI `verify` subcommand checks exactly the same numbers.
-Runtime is a few minutes, dominated by the exhaustive (3,2) sweep and
-the n=512 Monte Carlo runs.
+Runtime is about 40 s on a 2-vCPU host, dominated by criterion 10's
+n=512 Monte Carlo runs at 1, 4 and 8 threads.
 """
 
 import pytest

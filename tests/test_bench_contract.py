@@ -9,6 +9,7 @@ and fail as soon as a name they use is deleted or changes shape.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,3 +56,21 @@ def test_regime_setup_calls_run():
         assert isinstance(q, float) and 0.0 < q < 1.0
     for lam in (verify.lambda_exact_standard(512), verify.lambda_exact_modified(512)):
         assert isinstance(lam, float) and 1.0 < lam < 3.0
+
+
+def test_key_lemma_calls_its_traced_functions(monkeypatch):
+    # the lemma workload's spans come from these calls; a rewrite that
+    # stops making one of them shows only as `absent:` in a traced run
+    calls = Counter()
+    for module, name in [
+        (dynamics, "protected_set"),
+        (extremal, "sample_protected_configs"),
+        (extremal, "check_layer_bounds"),
+    ]:
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    assert verify.criterion_key_lemma(total=60).passed
+    assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds"}

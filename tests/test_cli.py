@@ -185,6 +185,19 @@ def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, f
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"d": -1, "rule": "modified"}, "d must"),
+    ({"d": 0, "rule": "modified"}, "d must"),
+    ({"n": -5, "t_horizon": -3, "t_measure": 0}, "t_horizon"),
+    ({"t_horizon": -3, "n": 3, "t_measure": 0}, "t_horizon"),
+])
+def test_experiment_bad_dimension_or_horizon_rejected(tmp_path, capsys, overrides, field):
+    cfg = make_config(tmp_path, **overrides)
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal failure")

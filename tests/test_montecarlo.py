@@ -1,10 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from torusboot import montecarlo as mc
-from torusboot.dynamics import Standard
+from torusboot.dynamics import Modified, Standard
 from torusboot.formulas import poisson_pmf
 
 
@@ -26,6 +27,11 @@ def test_config_validation():
         config(n=8, t_horizon=2)  # n < 4t+4
     with pytest.raises(ValueError):
         config(threads=0)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            config(d=d, rule=Modified())
+    with pytest.raises(ValueError, match="t_horizon must be >= 0"):
+        config(t_horizon=-1)
 
 
 def test_trial_seed_is_stable_and_distinct():
@@ -58,6 +64,22 @@ def test_histograms_identical_across_thread_counts():
             other = fn(config(threads=threads))
             assert other.to_csv() == base.to_csv()
             assert other.stuck_count == base.stuck_count
+    pairs = mc.coupled_monotonicity(config(threads=1), q_low=0.1, q_high=0.2)
+    for threads in (2, 4, 8):
+        assert mc.coupled_monotonicity(config(threads=threads), q_low=0.1, q_high=0.2) == pairs
+
+
+def test_coupled_pairs_run_on_pool_threads(monkeypatch):
+    seen = set()
+    real = mc._percolation_time
+
+    def spy(infected, rule):
+        seen.add(threading.current_thread())
+        return real(infected, rule)
+
+    monkeypatch.setattr(mc, "_percolation_time", spy)
+    mc.coupled_monotonicity(config(threads=3, trials=64), q_low=0.1, q_high=0.2)
+    assert seen and threading.main_thread() not in seen
 
 
 def test_run_trials_T_point_masses():

@@ -22,7 +22,7 @@ def scalar_lemma_counts(d, t, protected):
     return n_checks, n_viol
 
 
-@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("d,t", verify.KEY_LEMMA_CELLS)
 def test_tensor_lemma_counts_match_scalar_checker(d, t):
     rule = Standard(d)
     rng = np.random.Generator(np.random.PCG64(11 * d + t))
@@ -42,13 +42,23 @@ def test_tensor_lemma_counts_violations_like_the_scalar_checker(monkeypatch, d, 
     (protected,) = dynamics.protected_set(np.stack(configs), d, t, rule)
     real_bound = extremal.key_lemma_bound
     monkeypatch.setattr(extremal, "key_lemma_bound", lambda config, k: real_bound(config, k) + 1)
-    verify._config_table.cache_clear()
+    verify._lemma_table.cache_clear()
     try:
         n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, protected)
         assert (n_checks, n_viol) == scalar_lemma_counts(d, t, protected)
     finally:
-        verify._config_table.cache_clear()
+        verify._lemma_table.cache_clear()
     assert 0 < n_viol < n_checks
+
+
+def test_key_lemma_check_counts_are_pinned():
+    # the seed-7 entry of perfbench/reference.json: every (x, C, k) check
+    # of a cell is counted, so a dropped or extra check changes its total
+    report = verify.criterion_key_lemma(total=1200, seed=7)
+    assert report.passed
+    want = {(2, 2): 12116, (2, 3): 21495, (2, 4): 34388, (3, 2): 49974, (3, 3): 101545, (3, 4): 183310}
+    for (d, t), n in want.items():
+        assert f"ok: d={d} t={t}: 0 lemma violations in {n} checks" in report.details
 
 
 def test_run_criterion_passes_threads_only_where_taken():
