@@ -249,6 +249,8 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
             raise SchemaError(f"{key}: wrong type")
     if doc["schema"] != 1:
         raise SchemaError(f"schema: expected 1, got {doc['schema']}")
+    if doc["d"] < 1:  # before the rule, whose threshold range depends on d
+        raise SchemaError(f"d must be >= 1, got {doc['d']}")
     rule = _parse_rule(doc["rule"], doc["d"], doc.get("r"))
     measure = doc.get("measure", ["T", "F"])
     for i, item in enumerate(measure):
@@ -289,32 +291,38 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise SchemaError(f"config: invalid JSON: {exc}")
     config, extras = load_experiment_config(doc)
 
+    measure, t = extras["measure"], extras["t_measure"]
+    dist_t = dist_f = None
+    if "T" in measure and "F" in measure:
+        dist_t, dist_f = montecarlo.run_trials(config, t)  # one run per trial gives both
+    elif "T" in measure:
+        dist_t = montecarlo.run_trials_T(config)
+    elif "F" in measure:
+        dist_f = montecarlo.run_trials_F(config, t)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
     report: dict = {"config": doc, "results": {}}
-
-    if "T" in extras["measure"]:
-        dist_t = montecarlo.run_trials_T(config)
+    if dist_t is not None:
         (out_dir / "T_hist.csv").write_text(dist_t.to_csv())
         outputs.append("T_hist.csv")
-        est = montecarlo.estimate_P_T_le_t(dist_t, extras["t_measure"])
+        est = montecarlo.estimate_P_T_le_t(dist_t, t)
         report["results"]["T"] = {
             "trials": dist_t.trials,
             "stuck": dist_t.stuck_count,
             "P_T_le_t": {
-                "t": extras["t_measure"],
+                "t": t,
                 "point": est.point,
                 "ci_low": est.ci_low,
                 "ci_high": est.ci_high,
                 "level": est.level,
             },
         }
-    if "F" in extras["measure"]:
-        dist_f = montecarlo.run_trials_F(config, extras["t_measure"])
+    if dist_f is not None:
         (out_dir / "F_hist.csv").write_text(dist_f.to_csv())
         outputs.append("F_hist.csv")
-        entry: dict = {"trials": dist_f.trials, "t": extras["t_measure"]}
+        entry: dict = {"trials": dist_f.trials, "t": t}
         if extras["lambda"] is not None:
             entry["tv_vs_poisson"] = {
                 "lambda": extras["lambda"],
@@ -399,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except extremal.WorkBudgetExceeded as exc:
+    except (extremal.WorkBudgetExceeded, montecarlo.MemoryBudgetExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -2,8 +2,10 @@
 
 Two kinds of state are evolved, both as plain boolean arrays.  A torus is a
 d-dimensional grid of infected bits; torus_run steps it to full infection,
-to a fixpoint, or to a step limit, which gives the percolation time T and
-the uninfected count F_t.  A ball is a batch of uninfected rows over the
+to a fixpoint, or to a step limit, and returns the uninfected count after
+each step, which gives the percolation time T and every F_t of one run.
+Its first step is dense (torus_step_grid); once a dense step leaves few
+sites uninfected, torus_step_sparse steps those sites alone.  A ball is a batch of uninfected rows over the
 sites of enumerate_ball(d, t), whose exterior is permanently infected.  It
 answers protection questions exactly, because the state of x at time s
 depends only on initial states within l1 distance s of x.  protected_set
@@ -74,24 +76,66 @@ def torus_step_grid(infected: np.ndarray, rule: Rule) -> np.ndarray:
     return infected | ok
 
 
-def torus_run(infected: np.ndarray, rule: Rule, max_steps: int | None = None) -> tuple[int, int]:
-    """Step a torus grid until it is fully infected, a step changes
-    nothing, or max_steps steps have run; (steps taken, uninfected left).
+# After a dense step that leaves at most 1/_SPARSE_SWITCH of the sites
+# uninfected, torus_run steps only the uninfected sites.
+_SPARSE_SWITCH = 32
 
-    T is the step count when no site is left uninfected (a fixpoint below
-    full infection has no T), and F_t is torus_run(grid, rule, t)[1].
+
+def torus_step_sparse(
+    flat: np.ndarray, shape: tuple[int, ...], frontier: np.ndarray, rule: Rule
+) -> np.ndarray:
+    """One synchronous update of the uninfected sites of a torus grid.
+
+    flat is the grid's infected bits in C order and is updated in place;
+    frontier holds the flat index of every uninfected site.  Neighbours are
+    found by coordinate arithmetic mod n on each axis, so on an n <= 2 axis
+    x+e_i and x-e_i fold onto one site, as np.roll does in torus_step_grid.
+    Every count is gathered before any site is written.  Returns the
+    indices still uninfected.
     """
-    steps = 0
-    current = infected
-    n_inf = int(current.sum())
-    while n_inf < current.size and (max_steps is None or steps < max_steps):
-        nxt = torus_step_grid(current, rule)
-        n_next = int(nxt.sum())
-        if n_next == n_inf:
+    pairs = []  # infected bits of x+e_i and x-e_i, one pair per axis i
+    stride = 1
+    for n in reversed(shape):
+        coord = frontier // stride % n
+        pairs.append((flat[frontier + np.where(coord == n - 1, (1 - n) * stride, stride)],
+                      flat[frontier + np.where(coord == 0, (n - 1) * stride, -stride)]))
+        stride *= n
+    if isinstance(rule, Standard):
+        infect = sum(plus.astype(np.uint8) + minus for plus, minus in pairs) >= rule.r
+    else:
+        infect = np.logical_and.reduce([plus | minus for plus, minus in pairs])
+    flat[frontier[infect]] = True
+    return frontier[~infect]
+
+
+def torus_run(infected: np.ndarray, rule: Rule, max_steps: int | None = None) -> tuple[int, ...]:
+    """Step a torus grid until it is fully infected, a step changes
+    nothing, or max_steps steps have run; the uninfected counts after
+    0, 1, ... steps.
+
+    T is len(counts) - 1 when counts[-1] == 0 (a fixpoint below full
+    infection has no T), and F_t is counts[min(t, len(counts) - 1)].  The
+    first step is dense.  Once a dense step leaves few sites uninfected,
+    the run carries them as flat indices and steps only those.  The
+    caller's grid is never written.
+    """
+    size = infected.size
+    counts = [size - int(np.count_nonzero(infected))]
+    grid, frontier = infected, None
+    while counts[-1] and (max_steps is None or len(counts) <= max_steps):
+        if frontier is None and len(counts) > 1 and counts[-1] * _SPARSE_SWITCH <= size:
+            flat = grid.reshape(-1)  # a view of the grid the last dense step made
+            frontier = np.flatnonzero(~flat)
+        if frontier is None:
+            grid = torus_step_grid(grid, rule)
+            left = size - int(np.count_nonzero(grid))
+        else:
+            frontier = torus_step_sparse(flat, grid.shape, frontier, rule)
+            left = len(frontier)
+        if left == counts[-1]:
             break
-        current, n_inf = nxt, n_next
-        steps += 1
-    return steps, current.size - n_inf
+        counts.append(left)
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Seeded, parallel Monte Carlo experiments on the torus.
 
-Reproducibility contract: the initial state of trial i is a pure function
-of (master_seed, i) via a splitmix64 mix, and the outcomes are added to
-one histogram in trial-index order, so results are bit-identical for any
-thread count and schedule.
+Each trial is one run of torus_run from its initial grid; run_trials reads
+both T and F_t off that run.  Reproducibility contract: the initial state
+of trial i is a pure function of (master_seed, i) via a splitmix64 mix,
+and the outcomes are added to one histogram in trial-index order, so
+results are bit-identical for any thread count and schedule.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -20,6 +22,25 @@ from .dynamics import Rule, check_rule, torus_run
 from .formulas import poisson_pmf
 
 _MASK64 = (1 << 64) - 1
+
+# Bytes one trial holds per site at its peak: the float64 uniforms, the
+# bool grid and the temporaries of a dense step.
+TRIAL_BYTES_PER_SITE = 16
+# Experiments whose concurrent trials would hold more than this are refused.
+MEMORY_LIMIT_BYTES = 2 * 2**30
+
+
+class MemoryBudgetExceeded(Exception):
+    """Raised before any trial runs when the trials running at once would
+    hold more than MEMORY_LIMIT_BYTES."""
+
+    def __init__(self, estimate: int, limit: int):
+        self.estimate = estimate
+        self.limit = limit
+        super().__init__(
+            f"experiment needs ~{estimate / 2**30:,.1f} GiB at once ({TRIAL_BYTES_PER_SITE} bytes"
+            f" per site per thread), limit is {limit / 2**30:,.1f} GiB"
+        )
 
 
 def splitmix64(x: int) -> int:
@@ -45,6 +66,11 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     threads: int = 1
+
+    @property
+    def memory_estimate(self) -> int:
+        """Bytes held at once by the trials running on config.threads threads."""
+        return TRIAL_BYTES_PER_SITE * self.n**self.d * self.threads
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -106,43 +132,55 @@ def sample_initial_grid(config: ExperimentConfig, trial_index: int) -> np.ndarra
     return _uniforms(config, trial_index) < 1.0 - config.q
 
 
-def _percolation_time(infected: np.ndarray, rule: Rule) -> int | None:
-    """T of one grid, or None when it fixates below full infection."""
-    steps, uninfected = torus_run(infected, rule)
-    return steps if uninfected == 0 else None
+def _percolation_time(counts: tuple[int, ...]) -> int | None:
+    """T from torus_run's counts, or None when the run fixated below full infection."""
+    return len(counts) - 1 if counts[-1] == 0 else None
 
 
 def _map_trials(config: ExperimentConfig, fn) -> list:
-    """fn(i) for every trial index i on config.threads threads, in trial-index order."""
+    """fn(i) for every trial index i on config.threads threads, in trial-index order.
+
+    Refuses with MemoryBudgetExceeded before the first trial allocates.
+    """
+    if config.memory_estimate > MEMORY_LIMIT_BYTES:
+        raise MemoryBudgetExceeded(config.memory_estimate, MEMORY_LIMIT_BYTES)
     indices = range(config.trials)
     if config.threads == 1:
         return list(map(fn, indices))
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         # pool.map yields in trial-index order, whatever order the trials finish in
-        return list(pool.map(fn, indices, chunksize=16))
+        return list(pool.map(fn, indices))
 
 
-def _histogram(outcomes: list[int | None]) -> EmpiricalDistribution:
+def _histogram(outcomes: Iterable[int | None]) -> EmpiricalDistribution:
     dist = EmpiricalDistribution()
     for outcome in outcomes:
         dist.add(outcome)
     return dist
 
 
+def run_trials(config: ExperimentConfig, t: int) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
+    """Sample the percolation time T and the uninfected count F_t from one
+    run per trial; fixpoints below full infection are Stuck for T."""
+
+    def one(i: int) -> tuple[int | None, int]:
+        counts = torus_run(sample_initial_grid(config, i), config.rule)
+        return _percolation_time(counts), counts[min(t, len(counts) - 1)]
+
+    outcomes = _map_trials(config, one)
+    return _histogram(T for T, _ in outcomes), _histogram(F for _, F in outcomes)
+
+
 def run_trials_T(config: ExperimentConfig) -> EmpiricalDistribution:
     """Sample the percolation time T; fixpoints below full infection are Stuck."""
-
-    def one(i: int) -> int | None:
-        return _percolation_time(sample_initial_grid(config, i), config.rule)
-
-    return _histogram(_map_trials(config, one))
+    return run_trials(config, 0)[0]
 
 
 def run_trials_F(config: ExperimentConfig, t: int) -> EmpiricalDistribution:
-    """Sample the uninfected count after t steps."""
+    """Sample the uninfected count after t steps; each run stops at step t."""
 
     def one(i: int) -> int:
-        return torus_run(sample_initial_grid(config, i), config.rule, t)[1]
+        return torus_run(sample_initial_grid(config, i), config.rule, t)[-1]
 
     return _histogram(_map_trials(config, one))
 
@@ -172,7 +210,7 @@ def coupled_monotonicity(
 
     def one(i: int) -> tuple[int | None, int | None]:
         u = _uniforms(config, i)
-        return tuple(_percolation_time(u < 1.0 - q, config.rule) for q in (q_low, q_high))
+        return tuple(_percolation_time(torus_run(u < 1.0 - q, config.rule)) for q in (q_low, q_high))
 
     return _map_trials(config, one)
 

@@ -7,6 +7,7 @@ and fail as soon as a name they use is deleted or changes shape.
 """
 
 import importlib
+import json
 import importlib.util
 import sys
 from collections import Counter
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusboot import dynamics, extremal, verify
+from torusboot import cli, dynamics, extremal, montecarlo, verify
 from torusboot.dynamics import Modified, Standard
 from torusboot.lattice import enumerate_ball
 
@@ -62,15 +63,43 @@ def test_key_lemma_calls_its_traced_functions(monkeypatch):
     # the lemma workload's spans come from these calls; a rewrite that
     # stops making one of them shows only as `absent:` in a traced run
     calls = Counter()
-    for module, name in [
-        (dynamics, "protected_set"),
-        (extremal, "sample_protected_configs"),
-        (extremal, "check_layer_bounds"),
-    ]:
+    spy_on(monkeypatch, calls, [(dynamics, "protected_set"), (extremal, "sample_protected_configs"),
+                                (extremal, "check_layer_bounds")])
+    assert verify.criterion_key_lemma(total=60).passed
+    assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds"}
+
+
+def spy_on(monkeypatch, calls, targets):
+    for module, name in targets:
         def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-    assert verify.criterion_key_lemma(total=60).passed
-    assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds"}
+
+
+def experiment(tmp_path, measure, trials):
+    doc = {"schema": 1, "d": 2, "n": 32, "rule": "modified", "q": 0.3, "t_horizon": 1, "trials": trials,
+           "master_seed": 8, "threads": 2, "measure": measure, "t_measure": 1}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["experiment", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_T_experiment_calls_the_regime_trace_names(monkeypatch, tmp_path):
+    # the regime's modified config measures T alone; its trace reads these spans
+    calls = Counter()
+    spy_on(monkeypatch, calls, [(montecarlo, "run_trials_T"), (montecarlo, "sample_initial_grid"),
+                                (dynamics, "torus_step_grid")])
+    experiment(tmp_path, ["T"], trials=20)
+    assert calls["run_trials_T"] == 1
+    assert calls["sample_initial_grid"] == 20
+    assert calls["torus_step_grid"] >= 20
+
+
+def test_T_and_F_experiment_samples_each_grid_once(monkeypatch, tmp_path):
+    calls = Counter()
+    spy_on(monkeypatch, calls, [(montecarlo, "sample_initial_grid"), (montecarlo, "run_trials_T"),
+                                (montecarlo, "run_trials_F")])
+    experiment(tmp_path, ["T", "F"], trials=20)
+    assert calls == {"sample_initial_grid": 20}

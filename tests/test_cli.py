@@ -121,6 +121,36 @@ def test_experiment_outputs_and_determinism(tmp_path):
     assert "\r" not in csv
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+def test_experiment_T_and_F_equal_separate_runs(tmp_path, threads):
+    # one run per trial for both measures writes what a T run and an F run write
+    outs = {}
+    for measure in (["T", "F"], ["T"], ["F"]):
+        cfg = make_config(tmp_path, measure=measure, t_measure=1, threads=threads, q=0.3, r=3)
+        outs[tuple(measure)] = out = tmp_path / "".join(measure)
+        assert run(["experiment", str(cfg), "--out", str(out)]) == 0
+    both, only_t, only_f = outs[("T", "F")], outs[("T",)], outs[("F",)]
+    assert (both / "T_hist.csv").read_bytes() == (only_t / "T_hist.csv").read_bytes()
+    assert (both / "F_hist.csv").read_bytes() == (only_f / "F_hist.csv").read_bytes()
+    results = json.loads((both / "report.json").read_text())["results"]
+    assert results["T"] == json.loads((only_t / "report.json").read_text())["results"]["T"]
+    assert results["F"] == json.loads((only_f / "report.json").read_text())["results"]["F"]
+    assert results["T"]["stuck"] > 0
+    assert json.loads((both / "manifest.json").read_text())["outputs"] == ["T_hist.csv", "F_hist.csv", "report.json"]
+
+
+def test_experiment_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatch):
+    def no_draws(config, trial_index):
+        raise AssertionError("a refused experiment drew uniforms")
+
+    monkeypatch.setattr(cli.montecarlo, "_uniforms", no_draws)
+    cfg = make_config(tmp_path, n=1048576, threads=1)
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: experiment needs ~16,384.0 GiB")
+    assert not (tmp_path / "o").exists()
+
+
 def test_experiment_unknown_field_rejected(tmp_path, capsys):
     cfg = make_config(tmp_path, bogus=1)
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -188,6 +218,8 @@ def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, f
 @pytest.mark.parametrize("overrides,field", [
     ({"d": -1, "rule": "modified"}, "d must"),
     ({"d": 0, "rule": "modified"}, "d must"),
+    ({"d": 0}, "d must"),
+    ({"d": -1}, "d must"),
     ({"n": -5, "t_horizon": -3, "t_measure": 0}, "t_horizon"),
     ({"t_horizon": -3, "n": 3, "t_measure": 0}, "t_horizon"),
 ])

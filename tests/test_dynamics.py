@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from torusboot.dynamics import (
     protected_set,
     torus_run,
     torus_step_grid,
+    torus_step_sparse,
 )
 from torusboot.lattice import enumerate_ball, l1_norm
 
@@ -71,25 +74,104 @@ def test_step_is_monotone_in_initial_set(pair):
 @settings(max_examples=40)
 def test_percolation_time_is_consistent_with_counts(grid):
     grid = np.asarray(grid, dtype=bool)
-    steps, uninfected = torus_run(grid, Standard(2))
+    counts = torus_run(grid, Standard(2))
+    steps, uninfected = len(counts) - 1, counts[-1]
     if uninfected == 0:
-        assert torus_run(grid, Standard(2), steps)[1] == 0
+        assert torus_run(grid, Standard(2), steps)[-1] == 0
         if steps > 0:
-            assert torus_run(grid, Standard(2), steps - 1)[1] > 0
+            assert torus_run(grid, Standard(2), steps - 1)[-1] > 0
     else:
         # a fixpoint: one more step changes nothing
-        assert torus_run(grid, Standard(2), steps + 1) == (steps, uninfected)
+        assert torus_run(grid, Standard(2), steps + 1) == counts
+    for t in range(steps + 1):
+        assert torus_run(grid, Standard(2), t) == counts[: t + 1]
 
 
 def test_full_and_empty_grids():
-    assert torus_run(np.ones((4, 4), dtype=bool), Standard(2)) == (0, 0)
-    assert torus_run(np.zeros((4, 4), dtype=bool), Standard(2)) == (0, 16)
+    assert torus_run(np.ones((4, 4), dtype=bool), Standard(2)) == (0,)
+    assert torus_run(np.zeros((4, 4), dtype=bool), Standard(2)) == (16,)
 
 
 def test_single_uninfected_site_is_eaten():
     grid = np.ones((5, 5), dtype=bool)
     grid[2, 2] = False
     assert torus_run(grid, Standard(2)) == (1, 0)
+
+
+def reference_torus_run(infected, rule, max_steps=None):
+    """The dense loop torus_run replaced: every step through torus_step_grid,
+    counted with .sum(); the uninfected counts after 0, 1, ... steps."""
+    steps = 0
+    current = infected
+    n_inf = int(current.sum())
+    counts = [current.size - n_inf]
+    while n_inf < current.size and (max_steps is None or steps < max_steps):
+        nxt = torus_step_grid(current, rule)
+        n_next = int(nxt.sum())
+        if n_next == n_inf:
+            break
+        current, n_inf = nxt, n_next
+        steps += 1
+        counts.append(current.size - n_inf)
+    return tuple(counts)
+
+
+def rule_for(d, code):
+    """Modified for code 0, else Standard(r) with r = code in 1..2d."""
+    return Modified() if code == 0 else Standard(code)
+
+
+torus_cases = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.integers(1, 12), st.integers(0, 2 * d), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+    )
+)
+
+
+@given(case=torus_cases, max_steps=st.sampled_from([None, 0, 1, 2, 3, 4]), switch=st.sampled_from([32, 1]))
+@settings(max_examples=300, deadline=None)
+def test_torus_run_matches_dense_reference(case, max_steps, switch):
+    # switch 1 carries every run on the sparse path after its first step,
+    # n <= 2 included, where x+e_i and x-e_i are one site
+    d, n, code, q, seed = case
+    rule = rule_for(d, code)
+    grid = np.random.default_rng(seed).random((n,) * d) < 1.0 - q
+    before = grid.copy()
+    with mock.patch.object(dynamics, "_SPARSE_SWITCH", switch):
+        got = torus_run(grid, rule, max_steps)
+    assert got == reference_torus_run(grid, rule, max_steps)
+    assert all(type(c) is int for c in got)
+    np.testing.assert_array_equal(grid, before)  # the caller's grid is never written
+
+
+@given(case=torus_cases)
+@settings(max_examples=300, deadline=None)
+def test_sparse_step_matches_dense_step(case):
+    d, n, code, q, seed = case
+    rule = rule_for(d, code)
+    grid = np.random.default_rng(seed).random((n,) * d) < 1.0 - q
+    flat = grid.reshape(-1).copy()
+    left = torus_step_sparse(flat, grid.shape, np.flatnonzero(~flat), rule)
+    want = torus_step_grid(grid, rule)
+    np.testing.assert_array_equal(flat.reshape(grid.shape), want)
+    np.testing.assert_array_equal(left, np.flatnonzero(~want))
+
+
+@pytest.mark.parametrize("rule", [Standard(2), Modified()], ids=["standard", "modified"])
+def test_torus_run_matches_dense_reference_on_regime_grids(monkeypatch, rule):
+    from torusboot import montecarlo, verify
+
+    q = verify.poisson_regime_q(512) if isinstance(rule, Standard) else verify.modified_regime_q(512)
+    config = montecarlo.ExperimentConfig(
+        d=2, n=512, rule=rule, q=q, t_horizon=1, trials=100, master_seed=verify.MASTER_SEED
+    )
+    sparse = []
+    step = dynamics.torus_step_sparse
+    monkeypatch.setattr(dynamics, "torus_step_sparse", lambda *a: sparse.append(1) or step(*a))
+    for i in range(config.trials):
+        grid = montecarlo.sample_initial_grid(config, i)
+        assert torus_run(grid, rule) == reference_torus_run(grid, rule)
+    assert sparse  # the regime runs take the sparse path
 
 
 def _pinned_grids():
@@ -106,14 +188,18 @@ def _pinned_grids():
     rng = np.random.default_rng(11)
     for i, (n, q, rule) in enumerate([(2, 0.5, Standard(1)), (3, 0.6, Standard(2)), (8, 0.5, Standard(2)),
                                        (16, 0.3, Standard(3)), (16, 0.6, Modified()), (32, 0.45, Standard(2)),
-                                       (32, 0.7, Modified())]):
+                                       (32, 0.7, Modified()), (64, 0.1, Standard(3)), (64, 0.15, Modified())]):
         out[f"random{i}"] = (rng.random((n, n)) < 1.0 - q, rule)
+    for name, shape, q, rule in [("cube_r4", (12, 12, 12), 0.3, Standard(4)), ("cube_mod", (12, 12, 12), 0.2, Modified()),
+                                 ("line_r2", (4096,), 0.03, Standard(2))]:
+        out[name] = (rng.random(shape) < 1.0 - q, rule)
     return out
 
 
-# name: (T or None when stuck, torus_step_grid calls for T,
-#        [(F_t, torus_step_grid calls) for t = 0..5]), recorded from the
-# two separate loops torus_run replaced
+# name: (T or None when stuck, step calls for T,
+#        [(F_t, step calls) for t = 0..5]), recorded from the parent's dense
+# loop, whose every step was a torus_step_grid call; a step call is now
+# torus_step_grid or torus_step_sparse
 PINNED_RUNS = {
     "full": (0, 0, [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)]),
     "empty": (None, 1, [(16, 0), (16, 1), (16, 1), (16, 1), (16, 1), (16, 1)]),
@@ -128,22 +214,36 @@ PINNED_RUNS = {
     "random4": (6, 6, [(155, 0), (95, 1), (57, 2), (28, 3), (14, 4), (5, 5)]),
     "random5": (3, 3, [(453, 0), (90, 1), (7, 2), (0, 3), (0, 3), (0, 3)]),
     "random6": (13, 13, [(704, 0), (523, 1), (408, 2), (306, 3), (221, 4), (152, 5)]),
+    "random7": (None, 4, [(402, 0), (18, 1), (5, 2), (4, 3), (4, 4), (4, 4)]),
+    "random8": (3, 3, [(610, 0), (26, 1), (1, 2), (0, 3), (0, 3), (0, 3)]),
+    "cube_r4": (5, 5, [(519, 0), (148, 1), (32, 2), (7, 3), (2, 4), (0, 5)]),
+    "cube_mod": (3, 3, [(336, 0), (42, 1), (3, 2), (0, 3), (0, 3), (0, 3)]),
+    "line_r2": (None, 2, [(121, 0), (2, 1), (2, 2), (2, 2), (2, 2), (2, 2)]),
 }
+
+# name: torus_step_sparse calls among the step calls for T; the others
+# are dense.  Grids not listed take no sparse step.
+SPARSE_STEPS = {"random3": 3, "random4": 1, "random5": 1, "random6": 3, "random7": 3, "random8": 2,
+                "cube_r4": 3, "cube_mod": 2, "line_r2": 1}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_torus_run_pinned(monkeypatch, name):
     grid, rule = _pinned_grids()[name]
-    calls = []
-    step = dynamics.torus_step_grid
-    monkeypatch.setattr(dynamics, "torus_step_grid", lambda g, r: calls.append(1) or step(g, r))
-    steps, uninfected = torus_run(grid, rule)
-    got_t, t_calls = (steps if uninfected == 0 else None), len(calls)
+    dense, sparse = [], []
+    step, sparse_step = dynamics.torus_step_grid, dynamics.torus_step_sparse
+    monkeypatch.setattr(dynamics, "torus_step_grid", lambda g, r: dense.append(1) or step(g, r))
+    monkeypatch.setattr(dynamics, "torus_step_sparse", lambda *a: sparse.append(1) or sparse_step(*a))
+    counts = torus_run(grid, rule)
+    got_t = len(counts) - 1 if counts[-1] == 0 else None
+    t_calls, t_sparse = len(dense) + len(sparse), len(sparse)
     got_f = []
     for t in range(6):
-        calls.clear()
-        got_f.append((torus_run(grid, rule, t)[1], len(calls)))
+        dense.clear()
+        sparse.clear()
+        got_f.append((torus_run(grid, rule, t)[-1], len(dense) + len(sparse)))
     assert (got_t, t_calls, got_f) == PINNED_RUNS[name]
+    assert t_sparse == SPARSE_STEPS.get(name, 0)
 
 
 def test_modified_needs_every_axis():

@@ -73,13 +73,48 @@ def test_coupled_pairs_run_on_pool_threads(monkeypatch):
     seen = set()
     real = mc._percolation_time
 
-    def spy(infected, rule):
+    def spy(counts):
         seen.add(threading.current_thread())
-        return real(infected, rule)
+        return real(counts)
 
     monkeypatch.setattr(mc, "_percolation_time", spy)
     mc.coupled_monotonicity(config(threads=3, trials=64), q_low=0.1, q_high=0.2)
     assert seen and threading.main_thread() not in seen
+
+
+@pytest.mark.parametrize("overrides", [{}, {"q": 0.3, "rule": Standard(3)}, {"q": 0.5, "rule": Modified()}])
+def test_run_trials_reads_T_and_F_off_one_run(overrides):
+    # the same histograms as the separate T and F runs, stuck trials included
+    for threads in (1, 4):
+        cfg = config(threads=threads, trials=60, **overrides)
+        want_t = mc.run_trials_T(cfg)
+        for t in (0, 1, 2, 6):
+            got_t, got_f = mc.run_trials(cfg, t)
+            want_f = mc.run_trials_F(cfg, t)
+            assert (got_t.to_csv(), got_t.stuck_count, got_t.trials) == (
+                want_t.to_csv(), want_t.stuck_count, want_t.trials)
+            assert (got_f.to_csv(), got_f.stuck_count, got_f.trials) == (
+                want_f.to_csv(), want_f.stuck_count, want_f.trials)
+    assert mc.run_trials_T(config(q=0.3, rule=Standard(3), trials=60)).stuck_count > 0
+
+
+def test_memory_refusal_comes_before_any_trial(monkeypatch):
+    def no_draws(config, trial_index):
+        raise AssertionError("a refused experiment drew uniforms")
+
+    monkeypatch.setattr(mc, "_uniforms", no_draws)
+    huge = config(n=2**20, threads=4)
+    assert huge.memory_estimate == mc.TRIAL_BYTES_PER_SITE * 2**40 * 4
+    for run in (mc.run_trials_T, lambda cfg: mc.run_trials_F(cfg, 2), lambda cfg: mc.run_trials(cfg, 2),
+                lambda cfg: mc.coupled_monotonicity(cfg, 0.1, 0.2)):
+        with pytest.raises(mc.MemoryBudgetExceeded, match="GiB"):
+            run(huge)
+    # the largest n that runs on 8 threads fits; one more site per axis does not
+    n = math.isqrt(mc.MEMORY_LIMIT_BYTES // (mc.TRIAL_BYTES_PER_SITE * 8))
+    assert config(n=n, threads=8).memory_estimate <= mc.MEMORY_LIMIT_BYTES
+    assert config(n=n + 1, threads=8).memory_estimate > mc.MEMORY_LIMIT_BYTES
+    # the regime's n = 512 fits at every thread count the suites use
+    assert config(n=512, threads=8).memory_estimate <= mc.MEMORY_LIMIT_BYTES
 
 
 def test_run_trials_T_point_masses():
