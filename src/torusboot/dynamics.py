@@ -5,11 +5,12 @@ d-dimensional grid of infected bits; torus_run steps it to full infection,
 to a fixpoint, or to a step limit, and returns the uninfected count after
 each step, which gives the percolation time T and every F_t of one run.
 Its first step is dense (torus_step_grid); once a dense step leaves few
-sites uninfected, torus_step_sparse steps those sites alone.  A ball is a batch of uninfected rows over the
-sites of enumerate_ball(d, t), whose exterior is permanently infected.  It
-answers protection questions exactly, because the state of x at time s
-depends only on initial states within l1 distance s of x.  protected_set
-maps a batch of rows to their protected sets in t kernel calls.
+sites uninfected, torus_step_sparse steps those sites alone.  A ball is a
+batch of uninfected rows over the sites of enumerate_ball(d, t), whose
+exterior is permanently infected.  It answers protection questions
+exactly, because the state of x at time s depends only on initial states
+within l1 distance s of x.  protected_set maps a batch of rows to their
+protected sets in t kernel calls.
 
 The finite-domain stepper is written once, vectorised over a batch of
 boolean initial states.  The exhaustive sweeps of the extremal module run

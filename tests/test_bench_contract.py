@@ -7,8 +7,8 @@ and fail as soon as a name they use is deleted or changes shape.
 """
 
 import importlib
-import json
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -59,6 +59,16 @@ def test_regime_setup_calls_run():
         assert isinstance(lam, float) and 1.0 < lam < 3.0
 
 
+def spy_on(monkeypatch, calls, targets):
+    """Count calls to each (module, name) in `calls`, as the tracer's wrappers would see them."""
+    for module, name in targets:
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+
 def test_key_lemma_calls_its_traced_functions(monkeypatch):
     # the lemma workload's spans come from these calls; a rewrite that
     # stops making one of them shows only as `absent:` in a traced run
@@ -67,15 +77,6 @@ def test_key_lemma_calls_its_traced_functions(monkeypatch):
                                 (extremal, "check_layer_bounds")])
     assert verify.criterion_key_lemma(total=60).passed
     assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds"}
-
-
-def spy_on(monkeypatch, calls, targets):
-    for module, name in targets:
-        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
 
 
 def experiment(tmp_path, measure, trials):

@@ -218,10 +218,10 @@ def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, f
 @pytest.mark.parametrize("overrides,field", [
     ({"d": -1, "rule": "modified"}, "d must"),
     ({"d": 0, "rule": "modified"}, "d must"),
-    ({"d": 0}, "d must"),
-    ({"d": -1}, "d must"),
     ({"n": -5, "t_horizon": -3, "t_measure": 0}, "t_horizon"),
     ({"t_horizon": -3, "n": 3, "t_measure": 0}, "t_horizon"),
+    ({"d": 0}, "d must"),
+    ({"d": -1}, "d must"),
 ])
 def test_experiment_bad_dimension_or_horizon_rejected(tmp_path, capsys, overrides, field):
     cfg = make_config(tmp_path, **overrides)
