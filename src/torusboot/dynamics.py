@@ -78,8 +78,14 @@ def torus_step_grid(infected: np.ndarray, rule: Rule) -> np.ndarray:
 
 
 # After a dense step that leaves at most 1/_SPARSE_SWITCH of the sites
-# uninfected, torus_run steps only the uninfected sites.
-_SPARSE_SWITCH = 32
+# uninfected, torus_run steps only the uninfected sites.  Measured by
+# scripts/sparse_crossover.py (512^2 and 64^3 grids, both rules, 2-vCPU
+# Xeon, seeds 0 and 1): a sparse step costs 0.5-0.9 dense steps at 1/64 of
+# the sites, 0.9-1.8 at 1/32 and 1.6-41 at 1/16 to 1/2, and the switch
+# itself (the flatnonzero) costs up to one dense step.  The frontier only
+# shrinks, so the run never switches back.  The sparse temporaries take
+# ~35 bytes per uninfected site, under one byte per grid site at 1/64.
+_SPARSE_SWITCH = 64
 
 
 def torus_step_sparse(

@@ -38,9 +38,17 @@ class MemoryBudgetExceeded(Exception):
         self.estimate = estimate
         self.limit = limit
         super().__init__(
-            f"experiment needs ~{estimate / 2**30:,.1f} GiB at once ({TRIAL_BYTES_PER_SITE} bytes"
-            f" per site per thread), limit is {limit / 2**30:,.1f} GiB"
+            f"experiment needs {_describe_bytes(estimate)} at once ({TRIAL_BYTES_PER_SITE} bytes per"
+            f" site for each trial running), limit is {_describe_bytes(limit)}"
         )
+
+
+def _describe_bytes(nbytes: int) -> str:
+    """~GiB to one decimal; past 2**80 bytes a lower power of two, since d
+    and n have no upper bound and such an int may not convert to a float."""
+    if nbytes < 2**80:
+        return f"~{nbytes / 2**30:,.1f} GiB"
+    return f"at least 2^{nbytes.bit_length() - 1} bytes"
 
 
 def splitmix64(x: int) -> int:
@@ -69,8 +77,8 @@ class ExperimentConfig:
 
     @property
     def memory_estimate(self) -> int:
-        """Bytes held at once by the trials running on config.threads threads."""
-        return TRIAL_BYTES_PER_SITE * self.n**self.d * self.threads
+        """Bytes held at once by the min(threads, trials) trials that run together."""
+        return TRIAL_BYTES_PER_SITE * self.n**self.d * min(self.threads, self.trials)
 
     def __post_init__(self) -> None:
         if self.d < 1:

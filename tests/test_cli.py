@@ -139,15 +139,36 @@ def test_experiment_T_and_F_equal_separate_runs(tmp_path, threads):
     assert json.loads((both / "manifest.json").read_text())["outputs"] == ["T_hist.csv", "F_hist.csv", "report.json"]
 
 
-def test_experiment_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 4])
+def test_experiment_T_and_F_histograms_pinned(tmp_path, threads):
+    # recorded from the runs before T and F shared a trajectory, when each
+    # measure sampled and evolved its own grids; stuck trials included
+    cfg = make_config(tmp_path, measure=["T", "F"], t_measure=2, threads=threads, r=3)
+    out = tmp_path / "o"
+    assert run(["experiment", str(cfg), "--out", str(out)]) == 0
+    assert (out / "T_hist.csv").read_text() == "outcome,count\n2,13\n3,18\n4,4\n5,1\n"
+    assert (out / "F_hist.csv").read_text() == (
+        "outcome,count\n0,13\n1,7\n2,7\n3,4\n4,3\n5,4\n6,5\n7,1\n8,2\n9,2\n10,1\n12,1\n")
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["T"]["stuck"] == 14 and results["T"]["P_T_le_t"]["point"] == 0.26
+
+
+@pytest.mark.parametrize("overrides,need", [
+    ({"n": 1048576}, "~16,384.0 GiB"),
+    # 16 * 4**600 bytes, too large for a float
+    ({"d": 600, "n": 4, "rule": "modified", "t_horizon": 0, "t_measure": 0}, "at least 2^1204 bytes"),
+    ({"n": 10**400}, "at least 2^2661 bytes"),
+])
+def test_experiment_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatch, overrides, need):
     def no_draws(config, trial_index):
         raise AssertionError("a refused experiment drew uniforms")
 
     monkeypatch.setattr(cli.montecarlo, "_uniforms", no_draws)
-    cfg = make_config(tmp_path, n=1048576, threads=1)
+    cfg = make_config(tmp_path, threads=1, **overrides)
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("refused: experiment needs ~16,384.0 GiB")
+    assert err.startswith(f"refused: experiment needs {need} at once")
+    assert err.rstrip().endswith("limit is ~2.0 GiB")
     assert not (tmp_path / "o").exists()
 
 

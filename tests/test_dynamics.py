@@ -128,7 +128,8 @@ torus_cases = st.integers(1, 3).flatmap(
 )
 
 
-@given(case=torus_cases, max_steps=st.sampled_from([None, 0, 1, 2, 3, 4]), switch=st.sampled_from([32, 1]))
+@given(case=torus_cases, max_steps=st.sampled_from([None, 0, 1, 2, 3, 4]),
+       switch=st.sampled_from([dynamics._SPARSE_SWITCH, 1]))
 @settings(max_examples=300, deadline=None)
 def test_torus_run_matches_dense_reference(case, max_steps, switch):
     # switch 1 carries every run on the sparse path after its first step,
@@ -221,11 +222,6 @@ PINNED_RUNS = {
     "line_r2": (None, 2, [(121, 0), (2, 1), (2, 2), (2, 2), (2, 2), (2, 2)]),
 }
 
-# name: torus_step_sparse calls among the step calls for T; the others
-# are dense.  Grids not listed take no sparse step.
-SPARSE_STEPS = {"random3": 3, "random4": 1, "random5": 1, "random6": 3, "random7": 3, "random8": 2,
-                "cube_r4": 3, "cube_mod": 2, "line_r2": 1}
-
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_torus_run_pinned(monkeypatch, name):
@@ -243,7 +239,11 @@ def test_torus_run_pinned(monkeypatch, name):
         sparse.clear()
         got_f.append((torus_run(grid, rule, t)[-1], len(dense) + len(sparse)))
     assert (got_t, t_calls, got_f) == PINNED_RUNS[name]
-    assert t_sparse == SPARSE_STEPS.get(name, 0)
+    # step k is dense when it is the first, or while more than
+    # 1/_SPARSE_SWITCH of the sites are uninfected before it; the run never
+    # switches back, since the count only falls
+    dense_steps = sum(k == 1 or counts[k - 1] * dynamics._SPARSE_SWITCH > grid.size for k in range(1, t_calls + 1))
+    assert t_calls - t_sparse == dense_steps
 
 
 def test_modified_needs_every_axis():

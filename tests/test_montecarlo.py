@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from torusboot import montecarlo as mc
 from torusboot.dynamics import Modified, Standard
 from torusboot.formulas import poisson_pmf
+
+from test_dynamics import reference_torus_run
 
 
 def config(**overrides):
@@ -84,10 +87,16 @@ def test_coupled_pairs_run_on_pool_threads(monkeypatch):
 
 @pytest.mark.parametrize("overrides", [{}, {"q": 0.3, "rule": Standard(3)}, {"q": 0.5, "rule": Modified()}])
 def test_run_trials_reads_T_and_F_off_one_run(overrides):
-    # the same histograms as the separate T and F runs, stuck trials included
+    # T against the dense reference loop on the same grids, F against the
+    # separate t-step runs, stuck trials included
+    cfg = config(trials=60, **overrides)
+    want_t = mc.EmpiricalDistribution()
+    for i in range(cfg.trials):
+        counts = reference_torus_run(mc.sample_initial_grid(cfg, i), cfg.rule)
+        want_t.add(len(counts) - 1 if counts[-1] == 0 else None)
     for threads in (1, 4):
         cfg = config(threads=threads, trials=60, **overrides)
-        want_t = mc.run_trials_T(cfg)
+        assert mc.run_trials_T(cfg).to_csv() == want_t.to_csv()
         for t in (0, 1, 2, 6):
             got_t, got_f = mc.run_trials(cfg, t)
             want_f = mc.run_trials_F(cfg, t)
@@ -115,6 +124,28 @@ def test_memory_refusal_comes_before_any_trial(monkeypatch):
     assert config(n=n + 1, threads=8).memory_estimate > mc.MEMORY_LIMIT_BYTES
     # the regime's n = 512 fits at every thread count the suites use
     assert config(n=512, threads=8).memory_estimate <= mc.MEMORY_LIMIT_BYTES
+    # no more trials run at once than there are trials
+    assert config(n=8192, threads=8, trials=1).memory_estimate == mc.TRIAL_BYTES_PER_SITE * 8192**2
+    assert config(n=8192, threads=8, trials=1).memory_estimate <= mc.MEMORY_LIMIT_BYTES
+    assert config(n=8192, threads=8, trials=3).memory_estimate > mc.MEMORY_LIMIT_BYTES
+    # an estimate too large for a float is still reported
+    assert "at least 2^1204 bytes" in str(mc.MemoryBudgetExceeded(16 * 4**600, mc.MEMORY_LIMIT_BYTES))
+
+
+@pytest.mark.parametrize("rule,q", [(Standard(2), 0.0155), (Standard(4), 0.9), (Standard(3), 0.6), (Modified(), 0.5)])
+def test_trial_peak_memory_fits_the_estimate(rule, q):
+    # traced peak of one whole trial (uniforms, grid, dense and sparse steps)
+    # against TRIAL_BYTES_PER_SITE; the last three keep a large frontier
+    # after the first step, so they also cover the dense steps before the
+    # sparse switch
+    cfg = config(n=256, rule=rule, q=q, trials=1)
+    tracemalloc.start()
+    try:
+        mc.run_trials(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.memory_estimate
 
 
 def test_run_trials_T_point_masses():
