@@ -137,6 +137,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         raise SchemaError(f"--d must be >= 1 and --t >= 0, got d={args.d} t={args.t}")
     if ball_size(args.d, args.t) > MAX_BALL_SITES:
         raise SchemaError(f"ball d={args.d} t={args.t} exceeds the enumeration limit of {MAX_BALL_SITES} sites")
+    if args.q is not None and not 0.0 <= args.q <= 1.0:
+        raise SchemaError(f"--q: must lie in [0, 1], got {args.q}")
     rule = _parse_rule(args.rule, args.d, args.r)
     started = _timestamp()
     out_dir = Path(args.out) if args.out else None
@@ -253,6 +255,8 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
         raise SchemaError(f"d must be >= 1, got {doc['d']}")
     rule = _parse_rule(doc["rule"], doc["d"], doc.get("r"))
     measure = doc.get("measure", ["T", "F"])
+    if not measure:
+        raise SchemaError("measure: must name at least one of 'T' and 'F'")
     for i, item in enumerate(measure):
         if item not in ("T", "F"):
             raise SchemaError(f"measure[{i}]: expected 'T' or 'F', got {item!r}")
@@ -265,7 +269,7 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
             t_horizon=doc["t_horizon"],
             trials=doc["trials"],
             master_seed=doc["master_seed"],
-            threads=doc.get("threads", _default_threads()),
+            threads=doc["threads"] if "threads" in doc else _default_threads(),
         )
     except ValueError as exc:
         raise SchemaError(str(exc))
@@ -274,8 +278,10 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
         "t_measure": doc.get("t_measure", doc["t_horizon"]),
         "lambda": doc.get("lambda"),
     }
-    if extras["t_measure"] < 0:
-        raise SchemaError(f"t_measure: must be >= 0, got {extras['t_measure']}")
+    if not 0 <= extras["t_measure"] <= config.t_horizon:
+        raise SchemaError(
+            f"t_measure: must lie in [0, t_horizon={config.t_horizon}], got {extras['t_measure']}"
+        )
     if extras["lambda"] is not None and extras["lambda"] < 0:
         raise SchemaError(f"lambda: must be >= 0, got {extras['lambda']}")
     return config, extras

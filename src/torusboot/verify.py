@@ -215,7 +215,7 @@ def criterion_formula_identities() -> CriterionReport:
 
 
 # ---------------------------------------------------------------------------
-# Statistical criteria (shared experiment cache)
+# Statistical criteria (each seeded run cached on its own)
 
 POISSON_N = 512
 POISSON_TRIALS_F = 2000
@@ -240,40 +240,34 @@ def lambda_exact_modified(n: int = POISSON_N) -> float:
     return n * n * extremal.exact_rho1(2, 1, Modified()).evaluate(modified_regime_q(n))
 
 
-_regime_cache: dict[tuple[int, int], dict] = {}
+# The n = POISSON_N histograms: name -> (rule, q function, t, trials, seed
+# offset).  "F" is F_t, the others T, all run with t_horizon = t.
+REGIME_RUNS = {
+    "F": (Standard(2), poisson_regime_q, 2, POISSON_TRIALS_F, 0),
+    "T": (Standard(2), poisson_regime_q, 2, POISSON_TRIALS_T, 1),
+    "T_mod": (Modified(), modified_regime_q, 1, POISSON_TRIALS_T, 2),
+}
 
 
-def regime_runs(threads: int, seed: int = MASTER_SEED) -> dict:
-    """F, T, and modified-T histograms plus coupled pairs for one thread
-    count and master seed."""
-    key = (threads, seed)
-    if key in _regime_cache:
-        return _regime_cache[key]
-    n = POISSON_N
-    cfg_f = montecarlo.ExperimentConfig(
-        d=2, n=n, rule=Standard(2), q=poisson_regime_q(n), t_horizon=2,
-        trials=POISSON_TRIALS_F, master_seed=seed, threads=threads,
+@lru_cache(maxsize=None)
+def regime_run(
+    name: str, threads: int
+) -> montecarlo.EmpiricalDistribution | list[tuple[int | None, int | None]]:
+    """One seeded run of the statistical criteria: a REGIME_RUNS histogram,
+    or "pairs", 500 coupled (T(0.1), T(0.2)) pairs at n = 128.  The seed is
+    MASTER_SEED plus the run's offset, so the thread count never changes it."""
+    if name == "pairs":
+        config = montecarlo.ExperimentConfig(
+            d=2, n=128, rule=Standard(2), q=0.2, t_horizon=2,
+            trials=500, master_seed=MASTER_SEED + 3, threads=threads,
+        )
+        return montecarlo.coupled_monotonicity(config, q_low=0.1, q_high=0.2)
+    rule, q_at, t, trials, offset = REGIME_RUNS[name]
+    config = montecarlo.ExperimentConfig(
+        d=2, n=POISSON_N, rule=rule, q=q_at(), t_horizon=t,
+        trials=trials, master_seed=MASTER_SEED + offset, threads=threads,
     )
-    cfg_t = montecarlo.ExperimentConfig(
-        d=2, n=n, rule=Standard(2), q=poisson_regime_q(n), t_horizon=2,
-        trials=POISSON_TRIALS_T, master_seed=seed + 1, threads=threads,
-    )
-    cfg_tm = montecarlo.ExperimentConfig(
-        d=2, n=n, rule=Modified(), q=modified_regime_q(n), t_horizon=1,
-        trials=POISSON_TRIALS_T, master_seed=seed + 2, threads=threads,
-    )
-    cfg_pairs = montecarlo.ExperimentConfig(
-        d=2, n=128, rule=Standard(2), q=0.2, t_horizon=2,
-        trials=500, master_seed=seed + 3, threads=threads,
-    )
-    out = {
-        "F": montecarlo.run_trials_F(cfg_f, 2),
-        "T": montecarlo.run_trials_T(cfg_t),
-        "T_mod": montecarlo.run_trials_T(cfg_tm),
-        "pairs": montecarlo.coupled_monotonicity(cfg_pairs, q_low=0.1, q_high=0.2),
-    }
-    _regime_cache[key] = out
-    return out
+    return montecarlo.run_trials_F(config, t) if name == "F" else montecarlo.run_trials_T(config)
 
 
 def criterion_poisson(threads: int = 4) -> CriterionReport:
@@ -281,7 +275,7 @@ def criterion_poisson(threads: int = 4) -> CriterionReport:
     and the Barbour-Eagleson bound on it from exact rho1/rho2 inputs."""
     rep = CriterionReport("Poisson approximation: TV(empirical F_2, Po(lambda_exact)) <= 0.05", True)
     lam = lambda_exact_standard()
-    dist = regime_runs(threads)["F"]
+    dist = regime_run("F", threads)
     tv = montecarlo.tv_report(dist, lam)
     rep.details.append(f"q={poisson_regime_q():.6f} lambda_exact={lam:.6f} TV={tv:.6f}")
     _check(rep, tv <= 0.05, f"TV {tv:.4f} <= 0.05")
@@ -310,34 +304,26 @@ def stein_chen_bound_exact() -> float:
 def criterion_concentration(threads: int = 4) -> CriterionReport:
     """Two-point concentration of T and its Poisson-predicted split."""
     rep = CriterionReport("concentration of T: mass on {t, t+1} and P(T=t) near exp(-lambda)", True)
-    runs = regime_runs(threads)
-    lam = lambda_exact_standard()
-    dist = runs["T"]
-    freq = (dist.histogram.get(2, 0) + dist.histogram.get(3, 0)) / dist.trials
-    p2 = dist.histogram.get(2, 0) / dist.trials
-    _check(rep, freq >= 0.95, f"standard: P(T in {{2,3}}) = {freq:.4f} >= 0.95")
-    _check(
-        rep,
-        abs(p2 - math.exp(-lam)) <= 0.05,
-        f"standard: |P(T=2) - exp(-lambda)| = |{p2:.4f} - {math.exp(-lam):.4f}| <= 0.05",
-    )
-    lam_m = lambda_exact_modified()
-    dist_m = runs["T_mod"]
-    freq_m = (dist_m.histogram.get(1, 0) + dist_m.histogram.get(2, 0)) / dist_m.trials
-    p1 = dist_m.histogram.get(1, 0) / dist_m.trials
-    _check(rep, freq_m >= 0.95, f"modified: P(T in {{1,2}}) = {freq_m:.4f} >= 0.95")
-    _check(
-        rep,
-        abs(p1 - math.exp(-lam_m)) <= 0.05,
-        f"modified: |P(T=1) - exp(-lambda)| = |{p1:.4f} - {math.exp(-lam_m):.4f}| <= 0.05",
-    )
+    for label, name, t, lam in (
+        ("standard", "T", 2, lambda_exact_standard()),
+        ("modified", "T_mod", 1, lambda_exact_modified()),
+    ):
+        dist = regime_run(name, threads)
+        freq = (dist.histogram.get(t, 0) + dist.histogram.get(t + 1, 0)) / dist.trials
+        p = dist.histogram.get(t, 0) / dist.trials
+        _check(rep, freq >= 0.95, f"{label}: P(T in {{{t},{t + 1}}}) = {freq:.4f} >= 0.95")
+        _check(
+            rep,
+            abs(p - math.exp(-lam)) <= 0.05,
+            f"{label}: |P(T={t}) - exp(-lambda)| = |{p:.4f} - {math.exp(-lam):.4f}| <= 0.05",
+        )
     return rep
 
 
 def criterion_coupling(threads: int = 4) -> CriterionReport:
     """T(q_low) <= T(q_high) in every coupled pair (Stuck counts as infinity)."""
     rep = CriterionReport("monotone coupling: T(q_low) <= T(q_high) in all 500 pairs", True)
-    pairs = regime_runs(threads)["pairs"]
+    pairs = regime_run("pairs", threads)
     inf = float("inf")
     bad = sum(
         1
@@ -351,14 +337,12 @@ def criterion_coupling(threads: int = 4) -> CriterionReport:
 def criterion_determinism() -> CriterionReport:
     """Identical histograms for thread counts 1, 4, 8 with the same seed."""
     rep = CriterionReport("determinism: byte-identical histograms for 1, 4, 8 threads", True)
-    baselines = {k: v.to_csv() for k, v in regime_runs(1).items() if k != "pairs"}
-    base_pairs = regime_runs(1)["pairs"]
     for threads in (4, 8):
-        runs = regime_runs(threads)
-        for key, csv in baselines.items():
-            same = runs[key].to_csv() == csv
-            _check(rep, same, f"{key} histogram at {threads} threads matches 1 thread")
-        _check(rep, runs["pairs"] == base_pairs, f"coupled pairs at {threads} threads match 1 thread")
+        for name in REGIME_RUNS:
+            same = regime_run(name, threads).to_csv() == regime_run(name, 1).to_csv()
+            _check(rep, same, f"{name} histogram at {threads} threads matches 1 thread")
+        same = regime_run("pairs", threads) == regime_run("pairs", 1)
+        _check(rep, same, f"coupled pairs at {threads} threads match 1 thread")
     return rep
 
 

@@ -223,17 +223,40 @@ def test_verify_unknown_suite():
     (["formulas", "m", "--d", "2", "--t", "-1"], "t and d"),
     (["formulas", "p-alpha", "--d", "2", "--n", "100", "--t", "2", "--alpha", "2"], "alpha"),
     (["verify", "formulas", "--threads", "0"], "--threads"),
+    (["extremal", "rho1", "--d", "2", "--t", "1", "--q", "2"], "--q"),
 ])
 def test_bad_input_is_usage_error(argv, field, capsys):
     assert run(argv) == 2
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides,field", [({"lambda": -1.0}, "lambda"), ({"t_measure": -1}, "t_measure")])
+@pytest.mark.parametrize("overrides,field", [
+    ({"lambda": -1.0}, "lambda"),
+    ({"t_measure": -1}, "t_measure"),
+    ({"measure": []}, "measure"),
+    ({"t_measure": 3}, "t_measure"),
+])
 def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, field):
     cfg = make_config(tmp_path, **overrides)
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def test_experiment_threads_field_overrides_the_environment(tmp_path, monkeypatch, capsys):
+    # the environment is read only when the config has no threads field
+    monkeypatch.setenv("TORUSBOOT_THREADS", "abc")
+    cfg = make_config(tmp_path, threads=2)
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "with")]) == 0
+    doc = json.loads(cfg.read_text())
+    del doc["threads"]
+    cfg.write_text(json.dumps(doc))
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "without")]) == 2
+    assert "TORUSBOOT_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "without").exists()
+    monkeypatch.setenv("TORUSBOOT_THREADS", "2")
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "from_env")]) == 0
+    for name in ("T_hist.csv", "F_hist.csv"):
+        assert (tmp_path / "from_env" / name).read_bytes() == (tmp_path / "with" / name).read_bytes()
 
 
 @pytest.mark.parametrize("overrides,field", [

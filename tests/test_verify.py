@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from itertools import compress, product
 
 import numpy as np
 import pytest
 
-from torusboot import dynamics, extremal, formulas, verify
+from torusboot import dynamics, extremal, formulas, montecarlo, verify
 from torusboot.dynamics import Modified, Standard
 from torusboot.lattice import enumerate_ball, l1_norm
 
@@ -76,19 +77,53 @@ def test_run_criterion_passes_threads_only_where_taken():
     assert seen == [3]
 
 
+@pytest.fixture
+def runner_calls(monkeypatch):
+    """Counting stubs for the three Monte Carlo runners, each echoing the
+    master seed it was given.  regime_run's cache is emptied before and
+    after, so no stub result is served to a later test."""
+    calls = []
 
-def test_regime_runs_cache_is_keyed_by_seed(monkeypatch):
+    def histogram(runner):
+        def stub(cfg, *args):
+            calls.append((runner, cfg.threads))
+            return montecarlo.EmpiricalDistribution(Counter({cfg.master_seed: 1}), trials=1)
+        return stub
+
+    def pairs(cfg, **kwargs):
+        calls.append(("coupled_monotonicity", cfg.threads))
+        return [(cfg.master_seed, cfg.master_seed)]
+
+    monkeypatch.setattr(verify.montecarlo, "run_trials_F", histogram("run_trials_F"))
+    monkeypatch.setattr(verify.montecarlo, "run_trials_T", histogram("run_trials_T"))
+    monkeypatch.setattr(verify.montecarlo, "coupled_monotonicity", pairs)
+    verify.regime_run.cache_clear()
+    yield calls
+    verify.regime_run.cache_clear()
+
+
+@pytest.mark.parametrize("criterion,want", [
+    (verify.criterion_coupling, ["coupled_monotonicity"]),
+    (verify.criterion_concentration, ["run_trials_T", "run_trials_T"]),
+    (verify.criterion_poisson, ["run_trials_F"]),
+])
+def test_criterion_runs_only_what_it_reads(runner_calls, criterion, want):
+    criterion(threads=3)
+    assert runner_calls == [(runner, 3) for runner in want]
+
+
+def test_regime_run_cache_is_keyed_by_name_and_threads(runner_calls):
     # each stub echoes the master seed it was given, so a result cached for
-    # one seed and served for another shows up as the wrong seed
-    monkeypatch.setattr(verify, "_regime_cache", {})
-    monkeypatch.setattr(verify.montecarlo, "run_trials_F", lambda cfg, t: cfg.master_seed)
-    monkeypatch.setattr(verify.montecarlo, "run_trials_T", lambda cfg: cfg.master_seed)
-    monkeypatch.setattr(verify.montecarlo, "coupled_monotonicity", lambda cfg, **kw: cfg.master_seed)
-    seven, eight = verify.regime_runs(1, seed=7), verify.regime_runs(1, seed=8)
-    assert seven["F"] == 7 and eight["F"] == 8
-    assert (seven["T"], seven["T_mod"], seven["pairs"]) == (8, 9, 10)
-    assert (eight["T"], eight["T_mod"], eight["pairs"]) == (9, 10, 11)
-    assert verify.regime_runs(1, seed=7) is seven
+    # one run and served for another shows up as the wrong seed
+    runs = {name: verify.regime_run(name, 1) for name in ("F", "T", "T_mod")}
+    seeds = {name: dict(dist.histogram) for name, dist in runs.items()}
+    assert seeds == {"F": {7: 1}, "T": {8: 1}, "T_mod": {9: 1}}
+    assert verify.regime_run("pairs", 1) == [(10, 10)]
+    assert len(runner_calls) == 4
+    assert all(verify.regime_run(name, 1) is dist for name, dist in runs.items())
+    assert len(runner_calls) == 4
+    assert verify.regime_run("F", 2) is not runs["F"]
+    assert runner_calls[-1] == ("run_trials_F", 2)
 
 
 def test_regime_inputs_are_pinned_bit_for_bit():
