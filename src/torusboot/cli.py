@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +19,6 @@ from pathlib import Path
 
 from . import __version__, extremal, formulas, montecarlo, verify
 from .dynamics import Modified, Rule, Standard, check_rule
-from .formulas import ThresholdQuery
 from .lattice import MAX_BALL_SITES, ball_size
 
 EXIT_OK = 0
@@ -43,15 +43,13 @@ def _default_threads() -> int:
 
 
 def _parse_rule(tag: str, d: int, r: int | None) -> Rule:
-    if tag == "modified":
-        return Modified()
-    if tag != "standard":
+    if tag not in ("standard", "modified"):
         raise SchemaError(f"rule: expected 'standard' or 'modified', got {tag!r}")
-    rule = Standard(r=d if r is None else r)
+    rule = Modified() if tag == "modified" else Standard(r=d if r is None else r)
     try:
         check_rule(rule, d)
-    except ValueError as exc:
-        raise SchemaError(f"r: {exc}")
+    except ValueError as exc:  # the message names d or r
+        raise SchemaError(str(exc))
     return rule
 
 
@@ -78,12 +76,26 @@ def _write_manifest(
 # ---------------------------------------------------------------------------
 # formulas
 
-FORMULA_QUANTITIES = ("ell", "m", "m-general", "lambda-leading", "p-alpha")
+# quantity -> (required flags, which are also the printed params; value)
+FORMULAS = {
+    "ell": (("d", "t"), lambda a: formulas.ell(a.t, a.d)),
+    "m": (("d", "t"), lambda a: formulas.m(a.t, a.d)),
+    "m-general": (("d", "t", "r"), lambda a: formulas.m_general(a.t, a.d, a.r)),
+    "lambda-leading": (("d", "t", "n", "q", "rule"), lambda a: formulas.lambda_leading(
+        a.n, a.d, a.t, a.q, _parse_rule(a.rule, a.d, a.r))),
+    "p-alpha": (("d", "t", "n", "alpha", "rule"), lambda a: formulas.p_alpha(
+        a.n, a.d, a.t, a.alpha, _parse_rule(a.rule, a.d, a.r))),
+}
 
 
 def cmd_formulas(args: argparse.Namespace) -> int:
+    flags, value_of = FORMULAS[args.quantity]
+    for name in flags:
+        if getattr(args, name) is None:
+            raise SchemaError(f"--{name} is required for quantity {args.quantity!r}")
+    params = {name: getattr(args, name) for name in flags}
     try:
-        params, value = _formula_value(args)
+        value = value_of(args)
     except ValueError as exc:  # the closed forms validate their own arguments
         raise SchemaError(str(exc))
     doc = {"quantity": args.quantity, "params": params, "value": value}
@@ -93,40 +105,6 @@ def cmd_formulas(args: argparse.Namespace) -> int:
         doc["label"] = "leading-order"
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
-
-
-def _formula_value(args: argparse.Namespace) -> tuple[dict, float | int]:
-    if args.quantity == "ell":
-        _require(args, "d", "t")
-        params = {"d": args.d, "t": args.t}
-        value: float | int = formulas.ell(args.t, args.d)
-    elif args.quantity == "m":
-        _require(args, "d", "t")
-        params = {"d": args.d, "t": args.t}
-        value = formulas.m(args.t, args.d)
-    elif args.quantity == "m-general":
-        _require(args, "d", "t", "r")
-        params = {"d": args.d, "t": args.t, "r": args.r}
-        value = formulas.m_general(args.t, args.d, args.r)
-    elif args.quantity == "lambda-leading":
-        _require(args, "d", "t", "n", "q")
-        rule = _parse_rule(args.rule, args.d, args.r)
-        params = {"d": args.d, "t": args.t, "n": args.n, "q": args.q, "rule": args.rule}
-        value = formulas.lambda_leading(args.n, args.d, args.t, args.q, rule)
-    else:
-        _require(args, "d", "t", "n", "alpha")
-        rule = _parse_rule(args.rule, args.d, args.r)
-        params = {"d": args.d, "t": args.t, "n": args.n, "alpha": args.alpha, "rule": args.rule}
-        value = formulas.p_alpha(
-            ThresholdQuery(d=args.d, n=args.n, t=args.t, alpha=args.alpha, rule=rule)
-        )
-    return params, value
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise SchemaError(f"--{name} is required for quantity {args.quantity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +140,9 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         }
         if out_dir is not None:
             (out_dir / "certificates.json").write_text(json.dumps(docs, indent=2, sort_keys=True) + "\n")
-            header = "d,t,rule,size,count,canonical,semi_canonical,other\n"
-            row = ",".join(str(summary[k]) for k in
-                           ("d", "t", "rule", "size", "count", "canonical", "semi_canonical", "other"))
-            (out_dir / "summary.csv").write_text(header + row + "\n")
+            header = ",".join(summary)  # the dict's insertion order is the column order
+            row = ",".join(str(v) for v in summary.values())
+            (out_dir / "summary.csv").write_text(header + "\n" + row + "\n")
             outputs += ["certificates.json", "summary.csv"]
         print(json.dumps(summary, sort_keys=True))
     elif args.action in ("rho1", "joint"):
@@ -251,8 +228,6 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
             raise SchemaError(f"{key}: wrong type")
     if doc["schema"] != 1:
         raise SchemaError(f"schema: expected 1, got {doc['schema']}")
-    if doc["d"] < 1:  # before the rule, whose threshold range depends on d
-        raise SchemaError(f"d must be >= 1, got {doc['d']}")
     rule = _parse_rule(doc["rule"], doc["d"], doc.get("r"))
     measure = doc.get("measure", ["T", "F"])
     if not measure:
@@ -282,8 +257,8 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
         raise SchemaError(
             f"t_measure: must lie in [0, t_horizon={config.t_horizon}], got {extras['t_measure']}"
         )
-    if extras["lambda"] is not None and extras["lambda"] < 0:
-        raise SchemaError(f"lambda: must be >= 0, got {extras['lambda']}")
+    if extras["lambda"] is not None and not 0 <= extras["lambda"] < math.inf:  # rejects NaN and infinity
+        raise SchemaError(f"lambda: must be finite and >= 0, got {extras['lambda']}")
     return config, extras
 
 
@@ -369,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_form = sub.add_parser("formulas", help="closed-form quantities as JSON")
-    p_form.add_argument("quantity", choices=FORMULA_QUANTITIES)
+    p_form.add_argument("quantity", choices=FORMULAS)
     p_form.add_argument("--d", type=int)
     p_form.add_argument("--t", type=int)
     p_form.add_argument("--n", type=int)

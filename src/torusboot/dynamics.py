@@ -50,6 +50,10 @@ Rule = Standard | Modified
 
 
 def check_rule(rule: Rule, d: int) -> None:
+    """The one check of a (d, rule) pair: d >= 1, and 1 <= r <= 2d for the
+    standard rule."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if isinstance(rule, Standard) and not 1 <= rule.r <= 2 * d:
         raise ValueError(f"standard threshold r={rule.r} outside [1, {2 * d}] for d={d}")
 

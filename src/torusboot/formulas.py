@@ -9,24 +9,23 @@ and the CLI labels such outputs explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .lattice import Site, ball_size, dependency_offsets, l1_norm
-from .dynamics import Rule, Standard
+from .dynamics import Rule, Standard, check_rule
 
 
 def ell(t: int, d: int) -> int:
     """Minimum number of protected sites on the layer of radius t: sum of
     binom(d, i) for i = 0..t."""
-    if t < 0 or d < 0:
-        raise ValueError("t and d must be >= 0")
+    if t < 0 or d < 1:
+        raise ValueError(f"t and d must satisfy t >= 0 and d >= 1, got t={t}, d={d}")
     return sum(math.comb(d, i) for i in range(0, t + 1))
 
 
 def m(t: int, d: int) -> int:
     """Size of the centred column in the radius-t ball: sum of ell(r, d)."""
-    if t < 0 or d < 0:
-        raise ValueError("t and d must be >= 0")
+    if t < 0 or d < 1:
+        raise ValueError(f"t and d must satisfy t >= 0 and d >= 1, got t={t}, d={d}")
     return sum(ell(r, d) for r in range(0, t + 1))
 
 
@@ -56,6 +55,7 @@ def leading_term(t: int, d: int, rule: Rule) -> tuple[int, int]:
     of size m(t, d).  Modified rule: the origin at t = 0, then the d axis
     lines of 2t+1 sites.
     """
+    check_rule(rule, d)
     if t < 0:
         raise ValueError("t must be >= 0")
     if isinstance(rule, Standard):
@@ -66,47 +66,38 @@ def leading_term(t: int, d: int, rule: Rule) -> tuple[int, int]:
     return (1 if t == 0 else d), 2 * t + 1
 
 
+def _leading_scale(n: int, d: int, t: int, rule: Rule) -> tuple[int, int]:
+    """(count * n^d, size): the leading-order mean of F_t on the n^d torus
+    is count * n^d * q^size."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    count, size = leading_term(t, d, rule)
+    return count * n**d, size
+
+
 def lambda_leading(n: int, d: int, t: int, q: float, rule: Rule) -> float:
     """Leading-order mean of the uninfected count at time t."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    count, size = leading_term(t, d, rule)
-    return count * n**d * q**size
+    scale, size = _leading_scale(n, d, t, rule)
+    return scale * q**size
 
 
 def q_at_lambda(lam: float, n: int, d: int, t: int, rule: Rule) -> float:
     """The q at which the leading-order mean of F_t equals lam."""
-    count, size = leading_term(t, d, rule)
-    return (lam / (count * n**d)) ** (1.0 / size)
+    scale, size = _leading_scale(n, d, t, rule)
+    return (lam / scale) ** (1.0 / size)
 
 
-@dataclass(frozen=True)
-class ThresholdQuery:
-    d: int
-    n: int
-    t: int
-    alpha: float
-    rule: Rule
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-
-def p_alpha(query: ThresholdQuery) -> float:
+def p_alpha(n: int, d: int, t: int, alpha: float, rule: Rule) -> float:
     """Leading-order threshold probability for percolation by time t.
 
     Solves alpha = exp(-lambda) for the leading-order lambda; the dropped
     (1+o(1)) factor means this is an asymptotic prediction, not exact.
     """
-    lam = math.log(1.0 / query.alpha)
-    return 1.0 - q_at_lambda(lam, query.n, query.d, query.t, query.rule)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return 1.0 - q_at_lambda(math.log(1.0 / alpha), n, d, t, rule)
 
 
 def stein_chen_rhs(n: int, d: int, t: int, rho1: float, rho2_by_offset: dict[Site, float]) -> float:

@@ -81,11 +81,9 @@ class ExperimentConfig:
         return TRIAL_BYTES_PER_SITE * self.n**self.d * min(self.threads, self.trials)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        check_rule(self.rule, self.d)
         if self.t_horizon < 0:
             raise ValueError(f"t_horizon must be >= 0, got {self.t_horizon}")
-        check_rule(self.rule, self.d)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.q <= 1.0:

@@ -43,6 +43,36 @@ def test_formulas_unknown_quantity_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,stdout", [
+    ("ell --d 3 --t 2", '{"params": {"d": 3, "t": 2}, "quantity": "ell", "value": 7}'),
+    ("m --d 3 --t 2", '{"params": {"d": 3, "t": 2}, "quantity": "m", "value": 12}'),
+    ("m-general --d 3 --t 2 --r 2", '{"params": {"d": 3, "r": 2, "t": 2}, "quantity": "m-general", "value": 18}'),
+    ("lambda-leading --d 2 --t 2 --n 512 --q 0.1",
+     '{"label": "leading-order", "params": {"d": 2, "n": 512, "q": 0.1, "rule": "standard", "t": 2}, '
+     '"quantity": "lambda-leading", "value": 0.04194304000000002}'),
+    ("lambda-leading --d 2 --t 1 --n 10 --q 0.1 --rule modified",
+     '{"label": "leading-order", "params": {"d": 2, "n": 10, "q": 0.1, "rule": "modified", "t": 1}, '
+     '"quantity": "lambda-leading", "value": 0.20000000000000004}'),
+    ("lambda-leading --d 3 --t 2 --n 64 --q 0.25 --r 3",
+     '{"label": "leading-order", "params": {"d": 3, "n": 64, "q": 0.25, "rule": "standard", "t": 2}, '
+     '"quantity": "lambda-leading", "value": 1.6875}'),
+    ("p-alpha --d 2 --t 2 --n 1000 --alpha 0.5",
+     '{"label": "leading-order", "params": {"alpha": 0.5, "d": 2, "n": 1000, "rule": "standard", "t": 2}, '
+     '"quantity": "p-alpha", "value": 0.879887505971929}'),
+    ("p-alpha --d 3 --t 1 --n 100 --alpha 0.1 --rule modified",
+     '{"label": "leading-order", "params": {"alpha": 0.1, "d": 3, "n": 100, "rule": "modified", "t": 1}, '
+     '"quantity": "p-alpha", "value": 0.9908441610547873}'),
+    # d = 1: one minimal set of 5 sites at t = 2, so p = 1 - (ln 10 / 100)^(1/5)
+    ("p-alpha --d 1 --t 2 --n 100 --alpha 0.1",
+     '{"label": "leading-order", "params": {"alpha": 0.1, "d": 1, "n": 100, "rule": "standard", "t": 2}, '
+     '"quantity": "p-alpha", "value": 0.5296261844401495}'),
+])
+def test_formulas_output_is_pinned(capsys, argv, stdout):
+    # every quantity's exact line: a changed param key, label or value fails
+    assert run(["formulas", *argv.split()]) == 0
+    assert capsys.readouterr().out == stdout + "\n"
+
+
 def test_extremal_min_writes_outputs(tmp_path, capsys):
     out = tmp_path / "min"
     assert run(["extremal", "min", "--d", "2", "--t", "1", "--out", str(out)]) == 0
@@ -224,6 +254,12 @@ def test_verify_unknown_suite():
     (["formulas", "p-alpha", "--d", "2", "--n", "100", "--t", "2", "--alpha", "2"], "alpha"),
     (["verify", "formulas", "--threads", "0"], "--threads"),
     (["extremal", "rho1", "--d", "2", "--t", "1", "--q", "2"], "--q"),
+    (["formulas", "m", "--d", "0", "--t", "2"], "d >= 1"),
+    (["formulas", "ell", "--d", "0", "--t", "2"], "d >= 1"),
+    (["formulas", "lambda-leading", "--rule", "modified", "--d", "-1", "--t", "1", "--n", "10", "--q", "0.1"],
+     "d must be >= 1"),
+    (["formulas", "lambda-leading", "--d", "2", "--t", "1", "--n", "0", "--q", "0.1"], "n must be >= 2"),
+    (["formulas", "p-alpha", "--d", "2", "--t", "1", "--n", "1", "--alpha", "0.5"], "n must be >= 2"),
 ])
 def test_bad_input_is_usage_error(argv, field, capsys):
     assert run(argv) == 2
@@ -235,6 +271,8 @@ def test_bad_input_is_usage_error(argv, field, capsys):
     ({"t_measure": -1}, "t_measure"),
     ({"measure": []}, "measure"),
     ({"t_measure": 3}, "t_measure"),
+    ({"lambda": float("nan")}, "lambda"),
+    ({"lambda": float("inf")}, "lambda"),
 ])
 def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, field):
     cfg = make_config(tmp_path, **overrides)

@@ -87,6 +87,17 @@ def test_percolation_time_is_consistent_with_counts(grid):
         assert torus_run(grid, Standard(2), t) == counts[: t + 1]
 
 
+def test_check_rule_refuses_d_below_1_for_both_rules():
+    for d in (0, -1):
+        for rule in (Standard(1), Modified()):
+            with pytest.raises(ValueError, match=f"d must be >= 1, got {d}"):
+                dynamics.check_rule(rule, d)
+    with pytest.raises(ValueError, match="r=5"):
+        dynamics.check_rule(Standard(5), 2)
+    dynamics.check_rule(Standard(2), 1)
+    dynamics.check_rule(Modified(), 1)
+
+
 def test_full_and_empty_grids():
     assert torus_run(np.ones((4, 4), dtype=bool), Standard(2)) == (0,)
     assert torus_run(np.zeros((4, 4), dtype=bool), Standard(2)) == (16,)

@@ -191,6 +191,14 @@ def test_leading_term_matches_the_oracle(d, t, rule):
     assert leading_term(t, d, rule) == want
 
 
+@pytest.mark.parametrize("t", range(4))
+@pytest.mark.parametrize("rule", [Standard(1), Modified()], ids=["standard", "modified"])
+def test_leading_term_in_one_dimension_matches_the_oracle(rule, t):
+    # the values p-alpha --d 1 relies on: one minimal set, the segment of 2t+1 sites
+    count, certs = count_min_certificates(1, t, rule)
+    assert leading_term(t, 1, rule) == (count, certs[0].size) == (1, 2 * t + 1)
+
+
 def test_count_certificates_t1_regression():
     # t = 1 sits outside the closed-form count; pinned enumeration values
     assert count_min_certificates(2, 1, Standard(2))[0] == 4

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from torusboot import formulas
 from torusboot.dynamics import Modified, Standard
-from torusboot.formulas import ThresholdQuery
 from torusboot.lattice import ball_size, dependency_offsets
 
 
@@ -86,22 +85,35 @@ def test_lambda_leading_examples():
 
 
 def test_p_alpha_examples():
-    query = ThresholdQuery(d=2, n=1000, t=2, alpha=0.5, rule=Standard(2))
-    assert formulas.p_alpha(query) == pytest.approx(1 - (math.log(2) / 1.6e7) ** 0.125)
-    q_mod = ThresholdQuery(d=2, n=1000, t=1, alpha=0.5, rule=Modified())
-    assert formulas.p_alpha(q_mod) == pytest.approx(1 - (math.log(2) / 2e6) ** (1 / 3))
+    assert formulas.p_alpha(1000, 2, 2, 0.5, Standard(2)) == pytest.approx(1 - (math.log(2) / 1.6e7) ** 0.125)
+    assert formulas.p_alpha(1000, 2, 1, 0.5, Modified()) == pytest.approx(1 - (math.log(2) / 2e6) ** (1 / 3))
 
 
 @given(st.floats(min_value=0.01, max_value=0.98))
 def test_p_alpha_increasing_in_alpha(alpha):
-    base = ThresholdQuery(d=2, n=100, t=2, alpha=alpha, rule=Standard(2))
-    bigger = ThresholdQuery(d=2, n=100, t=2, alpha=alpha + 0.01, rule=Standard(2))
-    assert formulas.p_alpha(bigger) > formulas.p_alpha(base)
+    assert formulas.p_alpha(100, 2, 2, alpha + 0.01, Standard(2)) > formulas.p_alpha(100, 2, 2, alpha, Standard(2))
 
 
 def test_p_alpha_limit_behavior():
-    near_one = ThresholdQuery(d=2, n=100, t=2, alpha=1 - 1e-12, rule=Standard(2))
-    assert formulas.p_alpha(near_one) > 0.99
+    assert formulas.p_alpha(100, 2, 2, 1 - 1e-12, Standard(2)) > 0.99
+
+
+@pytest.mark.parametrize("rule", [Standard(1), Modified()], ids=["standard", "modified"])
+def test_leading_order_domain_is_d_ge_1_and_n_ge_2(rule):
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            formulas.lambda_leading(10, d, 1, 0.1, rule)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            formulas.p_alpha(10, d, 1, 0.5, rule)
+        with pytest.raises(ValueError, match="t and d"):
+            formulas.m(1, d)
+        with pytest.raises(ValueError, match="t and d"):
+            formulas.ell(1, d)
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            formulas.lambda_leading(n, 1, 1, 0.1, rule)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            formulas.q_at_lambda(2.0, n, 1, 1, rule)
 
 
 def test_stein_chen_zero_rho1():

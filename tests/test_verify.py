@@ -137,12 +137,10 @@ def test_regime_inputs_are_pinned_bit_for_bit():
             log_term = math.log(1.0 / alpha)
             for d in (2, 3, 4):
                 for t in (2, 3, 5):
-                    query = formulas.ThresholdQuery(d=d, n=n, t=t, alpha=alpha, rule=Standard(d))
                     want = 1.0 - (log_term / (d**3 * 2 ** (d - 1) * n**d)) ** (1.0 / formulas.m(t, d))
-                    assert formulas.p_alpha(query) == want
+                    assert formulas.p_alpha(n, d, t, alpha, Standard(d)) == want
                 for t in (1, 2, 4):
-                    query = formulas.ThresholdQuery(d=d, n=n, t=t, alpha=alpha, rule=Modified())
-                    assert formulas.p_alpha(query) == 1.0 - (log_term / (d * n**d)) ** (1.0 / (2 * t + 1))
+                    assert formulas.p_alpha(n, d, t, alpha, Modified()) == 1.0 - (log_term / (d * n**d)) ** (1.0 / (2 * t + 1))
 
 
 def test_stein_chen_bound_exact_pinned():
