@@ -50,6 +50,8 @@ def _parse_rule(tag: str, d: int, r: int | None) -> Rule:
         check_rule(rule, d)
     except ValueError as exc:  # the message names d or r
         raise SchemaError(str(exc))
+    if tag == "modified" and r is not None:
+        raise SchemaError(f"r: the modified rule takes no threshold, got r={r}")
     return rule
 
 

@@ -174,7 +174,12 @@ _SWEEPS: dict[tuple[int, int, Rule, Site | None], sweep.Sweep] = {}
 
 
 def _full_sweep(d: int, t: int, rule: Rule, offset: Site | None, budget: int) -> sweep.Sweep:
-    """The mask sweep of sweep.domain(d, t, offset); refuses 2^n above the budget."""
+    """The mask sweep of sweep.domain(d, t, offset); refuses 2^n above the budget.
+
+    The sweep tests only the 2^(n-k) subsets that hold the k targets, so the
+    2^n estimate over-counts the subsets tested by 2^k.  It is kept so that
+    every refusal and the choice in _min_layer stay as they were.
+    """
     from . import sweep  # loaded on the first sweep, not with the package
 
     total = 1 << len(sweep.domain_sites(d, t, offset))
@@ -193,8 +198,14 @@ def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
     A mask sweep when 2^n is within the budget, else a size-major sweep
     that stops at the first size with a hit.  Either way the call refuses
     exactly when a size-major enumeration would: once the subsets of sizes
-    0..u tested would exceed the budget.  That check runs before a cached
+    0..u would exceed the budget.  That check runs before a cached
     result is used.
+
+    The estimate counts every subset of B_t of sizes 0..u, though the
+    size-major feed tests only the C(n-1, v-1) of each size v that hold the
+    origin, a share v/n: it over-counts the subsets tested by about n/u.  It
+    is kept so that every refusal and every choice between the mask and the
+    size-major sweep stay as they were.
     """
     from . import sweep  # loaded on the first sweep, not with the package
 

@@ -6,11 +6,15 @@ implementation in software").  The rules become bitwise expressions over
 the neighbours' planes, and step s updates only the sites within distance
 steps - s of a target, the only ones the targets' final states depend on.
 
-Two feeds fill the planes: mask_sweep runs all 2^n subsets of a domain, and
-size_layer_hits the subsets of one size.  tests/test_extremal.py holds
-evolve_planes bit for bit to dynamics.evolve_finite_batch, the boolean
-reference.  The extremal oracles import this module on their first sweep,
-so the package's other users never load it.
+Infection is monotone, so a subset that leaves a target infected at time 0
+never protects it.  Both feeds therefore fix every target's plane to
+all-ones (uninfected) and enumerate subsets of the other sites only:
+mask_sweep runs all 2^(n-k) subsets of the n - k non-target sites of a
+domain with k targets, and size_layer_hits the subsets of one size.
+tests/test_extremal.py holds evolve_planes bit for bit to
+dynamics.evolve_finite_batch, the boolean reference, and both feeds to all
+2^n subsets run through it.  The extremal oracles import this module on
+their first sweep, so the package's other users never load it.
 """
 
 from __future__ import annotations
@@ -37,12 +41,15 @@ class Domain(NamedTuple):
     cone[s - 1] lists the sites updated at step s, those within distance
     steps - s of a target, each with its 2d neighbours (+e_1, -e_1, ...).
     The sites hold the radius-steps ball around every target, so no
-    neighbour of a cone site lies in the exterior.
+    neighbour of a cone site lies in the exterior.  others lists the
+    non-target sites in increasing order: the only sites whose subsets the
+    feeds enumerate.
     """
 
     sites: tuple[Site, ...]
     targets: tuple[int, ...]
     cone: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    others: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +77,9 @@ def domain(d: int, t: int, offset: Site | None = None) -> Domain:
     if any(len(sites) in row for layer in cone for _, row in layer):
         raise AssertionError("a light-cone site has a neighbour outside the domain")
     index_of = {s: i for i, s in enumerate(sites)}
-    return Domain(sites=sites, targets=tuple(index_of[g] for g in targets), cone=cone)
+    target_index = tuple(index_of[g] for g in targets)
+    others = tuple(x for x in range(len(sites)) if x not in target_index)
+    return Domain(sites=sites, targets=target_index, cone=cone, others=others)
 
 
 def _stays_uninfected(planes: list[np.ndarray], x: int, row: tuple[int, ...], rule: Rule) -> np.ndarray:
@@ -147,46 +156,55 @@ class Sweep(NamedTuple):
 
 
 def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
-    """All 2^n subsets: bit j of mask m says site j is uninfected.
+    """All 2^n subsets, of which only the 2^(n-k) that hold the k targets are
+    evolved: bit j of mask m says site dom.others[j] is uninfected, and the
+    targets always are.
 
     The low 6 bits of m are its lane in a word, so their planes are fixed
     patterns; the higher bits are constant within a word.  Words are evolved
     in chunks of 2^_CHUNK_BITS, and the sizes of the hits are counted per
-    word as popcount(word index) plus the popcount of the lane.
+    word as popcount(word index) plus the popcount of the lane plus k.
     """
-    n = len(dom.sites)
+    n, free = len(dom.sites), len(dom.others)
+    k = n - free
     low, by_popcount = _lane_tables()
-    n_low = min(n, _LOW_BITS)
-    chunk_bits = min(n - n_low, _CHUNK_BITS)
+    n_low = min(free, _LOW_BITS)
+    chunk_bits = min(free - n_low, _CHUNK_BITS)
+    high_bits = free - n_low - chunk_bits
     words = np.arange(1 << chunk_bits, dtype=np.uint64)
     ones, zeros = np.full(words.size, ~np.uint64(0)), np.zeros(words.size, dtype=np.uint64)
     fixed = [np.full(words.size, low[j]) for j in range(n_low)]
     fixed += [np.where(words >> np.uint64(b) & np.uint64(1), ones, zeros) for b in range(chunk_bits)]
-    valid = np.uint64((1 << (1 << n_low)) - 1)  # lanes p < 2^n when n < 6
+    valid = np.uint64((1 << (1 << n_low)) - 1)  # lanes p < 2^(n-k) when n - k < 6
     lane_popcount = np.arange(_LOW_BITS + 1)
     word_popcount = np.bitwise_count(words).astype(np.int64)
     counts = np.zeros(n + _LOW_BITS + 1, dtype=np.int64)
     best, found = n + 1, []
-    for chunk in range(1 << (n - n_low - chunk_bits)):
-        planes = fixed + [ones if chunk >> b & 1 else zeros for b in range(n - n_low - chunk_bits)]
+    for chunk in range(1 << high_bits):
+        planes = [ones] * n  # the targets' planes stay all-ones
+        free_planes = fixed + [ones if chunk >> b & 1 else zeros for b in range(high_bits)]
+        for x, plane in zip(dom.others, free_planes):
+            planes[x] = plane
         good = protects(planes, dom, rule) & valid
         sel = np.flatnonzero(good)
         if not sel.size:
             continue
         per_lane_size = np.bitwise_count(good[sel, np.newaxis] & by_popcount)  # [word, lane popcount]
-        size = word_popcount[sel, np.newaxis] + (chunk.bit_count() + lane_popcount)
+        size = word_popcount[sel, np.newaxis] + (chunk.bit_count() + k + lane_popcount)
         counts += np.bincount(size.ravel(), weights=per_lane_size.ravel(), minlength=counts.size).astype(np.int64)
         smallest = int(size[per_lane_size > 0].min())
         if smallest > best:
             continue
         if smallest < best:
             best, found = smallest, []
-        word, k = np.nonzero((size == best) & (per_lane_size > 0))
-        w, lane = np.nonzero(lane_bits(good[sel[word]] & by_popcount[k]))
+        word, lane_size = np.nonzero((size == best) & (per_lane_size > 0))
+        w, lane = np.nonzero(lane_bits(good[sel[word]] & by_popcount[lane_size]))
         base = (chunk << chunk_bits) + sel[word[w]]
         found.append((base.astype(np.int64) << n_low) | lane)
     masks = np.concatenate(found).tolist()
-    hits = sorted(tuple(j for j in range(n) if m >> j & 1) for m in masks)
+    hits = sorted(
+        tuple(sorted(dom.targets + tuple(x for j, x in enumerate(dom.others) if m >> j & 1))) for m in masks
+    )
     return Sweep(min_size=best, hits=tuple(hits), counts=tuple(int(c) for c in counts[: n + 1]))
 
 
@@ -227,12 +245,23 @@ def combination_blocks(n: int, u: int, rows: int = _SUBSET_BLOCK):
 
 def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
     """The size-u subsets of the domain that protect every target, in
-    lexicographic order."""
-    n = len(dom.sites)
+    lexicographic order.
+
+    Only the subsets that hold the k targets are evolved: the u - k others
+    run over the non-target sites in lexicographic order, which stays
+    lexicographic once the targets are added, since adding the same set to
+    two sets of one size leaves their symmetric difference as it was.
+    """
+    n, k = len(dom.sites), len(dom.targets)
+    if u < k:
+        return []
+    others = np.array(dom.others, dtype=np.int64)
     hits: list[tuple[int, ...]] = []
-    for subsets in combination_blocks(n, u):
-        uninfected = np.zeros((n, len(subsets)), dtype=bool)
-        uninfected[subsets, np.arange(len(subsets))[:, np.newaxis]] = True
-        good = lane_bits(protects(pack_sites(uninfected), dom, rule)).ravel()[: len(subsets)]
-        hits += map(tuple, subsets[good].tolist())
+    for subsets in combination_blocks(len(others), u - k):
+        chosen = others[subsets]
+        uninfected = np.zeros((n, len(chosen)), dtype=bool)
+        uninfected[chosen, np.arange(len(chosen))[:, np.newaxis]] = True
+        uninfected[list(dom.targets)] = True
+        good = lane_bits(protects(pack_sites(uninfected), dom, rule)).ravel()[: len(chosen)]
+        hits += map(tuple, np.nonzero(uninfected.T[good])[1].reshape(-1, u).tolist())
     return hits

@@ -116,6 +116,13 @@ def test_extremal_refuses_a_mask_count_beyond_decimal_printing(capsys):
     assert "2^14621" in capsys.readouterr().err
 
 
+def test_extremal_size_major_refusal_is_pinned(capsys):
+    # modified (3,3) has 63 sites and minimum size 7: sizes 0..6 are swept
+    # without a hit, and the 628,882,432 subsets of sizes 0..7 refuse size 7
+    assert run(["extremal", "min", "--d", "3", "--t", "3", "--rule", "modified"]) == 3
+    assert capsys.readouterr().err == "refused: enumeration needs ~628882432 subset tests, budget is 100000000\n"
+
+
 def test_extremal_min_modified_axis_lines_are_canonical(capsys):
     assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", "modified"]) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -260,6 +267,11 @@ def test_verify_unknown_suite():
      "d must be >= 1"),
     (["formulas", "lambda-leading", "--d", "2", "--t", "1", "--n", "0", "--q", "0.1"], "n must be >= 2"),
     (["formulas", "p-alpha", "--d", "2", "--t", "1", "--n", "1", "--alpha", "0.5"], "n must be >= 2"),
+    (["formulas", "lambda-leading", "--rule", "modified", "--r", "9", "--d", "2", "--t", "1", "--n", "10",
+      "--q", "0.1"], "r: the modified rule takes no threshold, got r=9"),
+    (["formulas", "p-alpha", "--rule", "modified", "--r", "2", "--d", "2", "--t", "1", "--n", "10",
+      "--alpha", "0.5"], "r=2"),
+    (["extremal", "min", "--rule", "modified", "--r", "2", "--d", "2", "--t", "1"], "r=2"),
 ])
 def test_bad_input_is_usage_error(argv, field, capsys):
     assert run(argv) == 2
@@ -273,6 +285,8 @@ def test_bad_input_is_usage_error(argv, field, capsys):
     ({"t_measure": 3}, "t_measure"),
     ({"lambda": float("nan")}, "lambda"),
     ({"lambda": float("inf")}, "lambda"),
+    ({"rule": "modified", "r": 9}, "r"),
+    ({"rule": "modified", "r": 2}, "r"),
 ])
 def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, field):
     cfg = make_config(tmp_path, **overrides)

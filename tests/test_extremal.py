@@ -82,8 +82,9 @@ def test_budget_between_size_major_work_and_all_masks():
 
 
 def test_modified_4_2_accepted_under_default_budget():
-    # 2^41 masks are far over the budget; the size-major sweep tests
-    # 862,190 subsets of sizes 0..5
+    # 2^41 masks are far over the budget; the size-major sweep counts the
+    # 862,190 subsets of sizes 0..5 against it, and tests the 102,091 of
+    # them that hold the origin
     count, certs = count_min_certificates(4, 2, Modified(), budget=DEFAULT_BUDGET)
     assert count == 4
     assert {c.uninfected for c in certs} == {
@@ -116,6 +117,46 @@ def test_size_major_and_mask_sweeps_agree(monkeypatch, d, t, rule, offset):
         # one word per chunk, so the smallest size found falls during the sweep
         monkeypatch.setattr(sweep, "_CHUNK_BITS", 0)
         assert sweep.mask_sweep(dom, rule) == full
+
+
+def reference_layers(dom, t, rule):
+    """The protecting subsets of each size u = 0..n, in lexicographic order,
+    from all 2^n subsets of the domain run through the boolean reference."""
+    n = len(dom.sites)
+    uninf = np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1 == 1
+    final = dynamics.evolve_finite_batch(uninf, dynamics.neighbor_matrix(dom.sites), rule, steps=t)
+    masks = np.flatnonzero(final[:, list(dom.targets)].all(axis=1)).tolist()
+    hits = sorted(tuple(j for j in range(n) if m >> j & 1) for m in masks)
+    return [[h for h in hits if len(h) == u] for u in range(n + 1)]
+
+
+# every domain of at most 13 sites among the balls B_t of d <= 6 and the
+# joint domains of exact_joint, including the one-site t = 0 balls; 14
+# would add 38 disjoint (3,1) pairs and 6 s for no new shape
+REFERENCE_DOMAINS = [
+    (d, t, offset)
+    for d, t in [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 0), (2, 1), (2, 2),
+                 (3, 0), (3, 1), (4, 0), (4, 1), (5, 1), (6, 1)]
+    for offset in (None,) + dependency_offsets(d, t)
+    if len(sweep.domain_sites(d, t, offset)) <= 13
+]
+
+
+@pytest.mark.parametrize("d,t,offset", REFERENCE_DOMAINS, ids=str)
+def test_both_feeds_match_the_boolean_reference_on_all_subsets(monkeypatch, d, t, offset):
+    dom = sweep.domain(d, t, offset)
+    for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]:
+        layers = reference_layers(dom, t, rule)
+        min_size = next(u for u, hits in enumerate(layers) if hits)
+        want = sweep.Sweep(min_size=min_size, hits=tuple(layers[min_size]), counts=tuple(map(len, layers)))
+        assert sweep.mask_sweep(dom, rule) == want, rule
+        for u, hits in enumerate(layers):  # includes u < len(dom.targets)
+            assert sweep.size_layer_hits(dom, rule, u) == hits, (rule, u)
+        if rule in (Modified(), Standard(d)):
+            # one word per chunk, so the mask feed also steps through its high bits
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep, "_CHUNK_BITS", 0)
+                assert sweep.mask_sweep(dom, rule) == want, rule
 
 
 def test_combination_blocks_are_lexicographic():
