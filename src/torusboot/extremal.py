@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, product
 from typing import TYPE_CHECKING
 
@@ -168,66 +169,50 @@ def classify(cert: Certificate) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# One sweep per question; its result is shared by every oracle that asks it
+# One memoised sweep per question, read only after its work passes the budget
 
-_SWEEPS: dict[tuple[int, int, Rule, Site | None], sweep.Sweep] = {}
+
+@lru_cache(maxsize=None)
+def _mask_sweep(d: int, t: int, rule: Rule, offset: Site | None) -> sweep.Sweep:
+    from . import sweep  # loaded on the first sweep, not with the package
+
+    return sweep.mask_sweep(sweep.domain(d, t, offset), rule)
+
+
+@lru_cache(maxsize=None)
+def _layer_hits(d: int, t: int, rule: Rule, u: int) -> tuple[tuple[int, ...], ...]:
+    from . import sweep
+
+    return tuple(sweep.size_layer_hits(sweep.domain(d, t), rule, u))
 
 
 def _full_sweep(d: int, t: int, rule: Rule, offset: Site | None, budget: int) -> sweep.Sweep:
-    """The mask sweep of sweep.domain(d, t, offset); refuses 2^n above the budget.
+    """The mask sweep of sweep.domain(d, t, offset); refuses its work above the budget."""
+    from . import sweep
 
-    The sweep tests only the 2^(n-k) subsets that hold the k targets, so the
-    2^n estimate over-counts the subsets tested by 2^k.  It is kept so that
-    every refusal and the choice in _min_layer stay as they were.
-    """
-    from . import sweep  # loaded on the first sweep, not with the package
-
-    total = 1 << len(sweep.domain_sites(d, t, offset))
-    if total > budget:
-        raise WorkBudgetExceeded(total, budget)
-    key = (d, t, rule, offset)
-    found = _SWEEPS.get(key)
-    if found is None or found.counts is None:
-        found = _SWEEPS[key] = sweep.mask_sweep(sweep.domain(d, t, offset), rule)
-    return found
+    work = sweep.mask_work(d, t, offset)
+    if work > budget:
+        raise WorkBudgetExceeded(work, budget)
+    return _mask_sweep(d, t, rule, offset)
 
 
 def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
-    """Smallest protecting size of B_t and its protecting subsets.
-
-    A mask sweep when 2^n is within the budget, else a size-major sweep
-    that stops at the first size with a hit.  Either way the call refuses
-    exactly when a size-major enumeration would: once the subsets of sizes
-    0..u would exceed the budget.  That check runs before a cached
-    result is used.
-
-    The estimate counts every subset of B_t of sizes 0..u, though the
-    size-major feed tests only the C(n-1, v-1) of each size v that hold the
-    origin, a share v/n: it over-counts the subsets tested by about n/u.  It
-    is kept so that every refusal and every choice between the mask and the
-    size-major sweep stay as they were.
-    """
-    from . import sweep  # loaded on the first sweep, not with the package
+    """Smallest protecting size of B_t and its protecting subsets: a mask
+    sweep when its work is within the budget, else a size-major sweep that
+    stops at the first size with a hit."""
+    from . import sweep
 
     dynamics.check_rule(rule, d)
-    n = ball_size(d, t)
-    if 1 << n <= budget:
-        return _full_sweep(d, t, rule, None, budget)
-    key = (d, t, rule, None)
-    known = _SWEEPS.get(key)
+    if sweep.mask_work(d, t) <= budget:
+        return _mask_sweep(d, t, rule, None)
     work = 0
-    for u in range(n + 1):
-        work += math.comb(n, u)
+    for u in range(ball_size(d, t) + 1):
+        work += sweep.layer_work(d, t, u)
         if work > budget:
             raise WorkBudgetExceeded(work, budget)
-        if known is not None:
-            if u == known.min_size:
-                return known
-            continue
-        hits = sweep.size_layer_hits(sweep.domain(d, t), rule, u)
+        hits = _layer_hits(d, t, rule, u)
         if hits:
-            _SWEEPS[key] = found = sweep.Sweep(min_size=u, hits=tuple(hits))
-            return found
+            return sweep.Sweep(min_size=u, hits=hits)
     raise AssertionError("the full ball always protects the origin")
 
 
@@ -238,7 +223,8 @@ def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
 def min_protecting_size(d: int, t: int, rule: Rule, *, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest u such that some size-u subset of B_t protects the origin.
 
-    Refuses once the subsets of sizes 0..u would exceed the budget.
+    Refuses once the subsets of sizes 0..u that hold the origin would exceed
+    the budget.
     """
     return _min_layer(d, t, rule, budget).min_size
 

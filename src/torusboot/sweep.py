@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Modified, Rule
-from .lattice import Site, enumerate_ball, l1_norm
+from .lattice import Site, ball_size, enumerate_ball, l1_norm
 
 _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
 _CHUNK_BITS = 13  # a mask sweep evolves 2^13 words (2^19 masks) at a time
@@ -155,6 +155,13 @@ class Sweep(NamedTuple):
     counts: tuple[int, ...] | None = None
 
 
+def mask_work(d: int, t: int, offset: Site | None = None) -> int:
+    """2^(n-k), the subsets mask_sweep evolves on domain(d, t, offset), from closed forms."""
+    if offset is None:
+        return 1 << (ball_size(d, t) - 1)
+    return 1 << (len(domain_sites(d, t, offset)) - 2)
+
+
 def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
     """All 2^n subsets, of which only the 2^(n-k) that hold the k targets are
     evolved: bit j of mask m says site dom.others[j] is uninfected, and the
@@ -241,6 +248,11 @@ def combination_blocks(n: int, u: int, rows: int = _SUBSET_BLOCK):
             pending = []
     if pending:
         yield np.concatenate(pending)
+
+
+def layer_work(d: int, t: int, u: int) -> int:
+    """C(n-1, u-1), the subsets size_layer_hits evolves at size u on domain(d, t); 0 at u = 0."""
+    return math.comb(ball_size(d, t) - 1, u - 1) if u else 0
 
 
 def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:

@@ -111,16 +111,18 @@ def test_extremal_budget_refusal(capsys):
 
 
 def test_extremal_refuses_a_mask_count_beyond_decimal_printing(capsys):
-    # B_85 in Z^2 has 14,621 sites: 2^14621 masks, a 4,402-digit number
+    # B_85 in Z^2 has 14,621 sites: the mask sweep evolves the 2^14620
+    # subsets that hold the origin, a 4,402-digit number
     assert run(["extremal", "rho1", "--d", "2", "--t", "85"]) == 3
-    assert "2^14621" in capsys.readouterr().err
+    assert "2^14620" in capsys.readouterr().err
 
 
 def test_extremal_size_major_refusal_is_pinned(capsys):
-    # modified (3,3) has 63 sites and minimum size 7: sizes 0..6 are swept
-    # without a hit, and the 628,882,432 subsets of sizes 0..7 refuse size 7
-    assert run(["extremal", "min", "--d", "3", "--t", "3", "--rule", "modified"]) == 3
-    assert capsys.readouterr().err == "refused: enumeration needs ~628882432 subset tests, budget is 100000000\n"
+    # modified (3,3) has 63 sites and minimum size 7: sizes 1..6 are swept
+    # without a hit, and the subsets of sizes 1..7 that hold the origin,
+    # C(62, 0) + ... + C(62, 6) = 68,543,140, are one over the budget
+    assert run(["extremal", "min", "--d", "3", "--t", "3", "--rule", "modified", "--budget", "68543139"]) == 3
+    assert capsys.readouterr().err == "refused: enumeration needs ~68543140 subset tests, budget is 68543139\n"
 
 
 def test_extremal_min_modified_axis_lines_are_canonical(capsys):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,36 +65,137 @@ def test_huge_estimate_message_is_a_power_of_two():
     assert "2^20000 " in str(WorkBudgetExceeded((1 << 20000) + 12345, 10**8))
 
 
+def clear_memos():
+    extremal._mask_sweep.cache_clear()
+    extremal._layer_hits.cache_clear()
+
+
 def test_cached_sweep_does_not_bypass_the_budget():
-    assert count_min_certificates(2, 2, Standard(2))[0] == 16  # fills the cache
+    assert count_min_certificates(2, 2, Standard(2))[0] == 16  # fills the memo
     for oracle in (min_protecting_size, count_min_certificates):
         with pytest.raises(WorkBudgetExceeded) as exc:
             oracle(2, 2, Standard(2), budget=10)
-        assert (exc.value.budget, exc.value.estimate) == (10, 14)  # 1 + 13 subsets of sizes 0 and 1
+        # sizes 0, 1 and 2 hold 0 + C(12, 0) + C(12, 1) = 13 subsets with the origin
+        assert (exc.value.budget, exc.value.estimate) == (10, 13)
     with pytest.raises(WorkBudgetExceeded):
         exact_rho1(2, 2, budget=10)
 
 
 def test_budget_between_size_major_work_and_all_masks():
-    # 2^13 = 8192 masks exceed the budget, but sizes 0..8 are only 7099
-    # subsets, so the size-major sweep answers; one less refuses at size 8
-    assert min_protecting_size(2, 2, Standard(2), budget=8000) == 8
-    assert count_min_certificates(2, 2, Standard(2), budget=7099)[0] == 16
+    # at (2,2) the mask sweep evolves the 2^12 = 4096 subsets that hold the
+    # origin, and the size-major sweep the C(12, u - 1) of each size u:
+    # 1 + 12 + 66 + 220 + 495 + 792 + 924 + 792 = 3302 through size 8
+    clear_memos()
+    assert count_min_certificates(2, 2, Standard(2), budget=4095)[0] == 16
+    assert (extremal._mask_sweep.cache_info().currsize, extremal._layer_hits.cache_info().currsize) == (0, 9)
+    assert count_min_certificates(2, 2, Standard(2), budget=4096)[0] == 16
+    assert extremal._mask_sweep.cache_info().currsize == 1
     with pytest.raises(WorkBudgetExceeded) as exc:
-        min_protecting_size(2, 2, Standard(2), budget=7098)
-    assert exc.value.estimate == 7099
+        min_protecting_size(2, 2, Standard(2), budget=3301)
+    assert exc.value.estimate == 3302
 
 
 def test_modified_4_2_accepted_under_default_budget():
-    # 2^41 masks are far over the budget; the size-major sweep counts the
-    # 862,190 subsets of sizes 0..5 against it, and tests the 102,091 of
-    # them that hold the origin
+    # 2^40 masks are far over the budget; the size-major sweep tests the
+    # 102,091 subsets of sizes 1..5 that hold the origin
     count, certs = count_min_certificates(4, 2, Modified(), budget=DEFAULT_BUDGET)
     assert count == 4
     assert {c.uninfected for c in certs} == {
         frozenset(tuple(k if i == axis else 0 for i in range(4)) for k in range(-2, 3))
         for axis in range(4)
     }
+
+
+def test_budget_boundaries_are_the_subsets_evolved():
+    # modified (4,2), 41 sites: C(40, 0) + ... + C(40, 4) = 1 + 40 + 780 +
+    # 9880 + 91390 = 102,091 subsets of sizes 1..5 hold the origin
+    assert count_min_certificates(4, 2, Modified(), budget=102_091)[0] == 4
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_min_certificates(4, 2, Modified(), budget=102_090)
+    assert exc.value.estimate == 102_091
+    # B_1(0) and B_1((1,0)) share 2 of their 5 sites: 8 sites, 2 of them
+    # targets, so 2^6 = 64 subsets hold both
+    assert exact_joint(2, 1, (1, 0), budget=64).counts == JOINT_2_1[(0, 1)]
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        exact_joint(2, 1, (1, 0), budget=63)
+    assert exc.value.estimate == 64
+
+
+def spy_on_feeds(monkeypatch):
+    """The distinct subsets holding every target among the lanes the feeds
+    pass to sweep.protects, and the rows combination_blocks yields.  Lanes
+    past the valid masks repeat valid ones, and padded lanes hold no target."""
+    subsets, rows = set(), []
+    protects, combination_blocks = sweep.protects, sweep.combination_blocks
+
+    def spy_protects(planes, dom, rule):
+        lanes = np.stack([sweep.lane_bits(plane).ravel() for plane in planes], axis=1)
+        subsets.update(map(bytes, np.packbits(lanes[lanes[:, list(dom.targets)].all(axis=1)], axis=1)))
+        return protects(planes, dom, rule)
+
+    def spy_blocks(n, u, *args):
+        for block in combination_blocks(n, u, *args):
+            rows.append(len(block))
+            yield block
+
+    monkeypatch.setattr(sweep, "protects", spy_protects)
+    monkeypatch.setattr(sweep, "combination_blocks", spy_blocks)
+    return subsets, rows
+
+
+@pytest.mark.parametrize(
+    "oracle,args,budget,size_major",
+    [
+        (exact_rho1, (2, 1), DEFAULT_BUDGET, False),  # 2^4 valid lanes of one word
+        (exact_rho1, (2, 2), DEFAULT_BUDGET, False),
+        (exact_joint, (2, 2, (1, 0)), DEFAULT_BUDGET, False),  # two targets
+        (count_min_certificates, (2, 2, Standard(2)), 4000, True),  # sizes 0..8
+    ],
+    ids=["rho1-2-1", "rho1-2-2", "joint-2-2", "size-major-2-2"],
+)
+def test_refusal_estimate_is_the_work_the_feeds_do(monkeypatch, oracle, args, budget, size_major):
+    clear_memos()
+    subsets, rows = spy_on_feeds(monkeypatch)
+    oracle(*args, budget=budget)
+    work = len(subsets)
+    assert sum(rows) == (work if size_major else 0)
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        oracle(*args, budget=work - 1)
+    assert exc.value.estimate == work
+    oracle(*args, budget=work)
+
+
+def test_size_major_memo_does_not_serve_full_counts():
+    clear_memos()
+    assert count_min_certificates(2, 2, Standard(2), budget=4000)[0] == 16  # size-major
+    assert exact_rho1(2, 2).counts == (0, 0, 0, 0, 0, 0, 0, 0, 16, 77, 116, 60, 12, 1)
+    calls = [
+        lambda budget: min_protecting_size(2, 2, Standard(2), budget=budget),
+        lambda budget: count_min_certificates(2, 2, Standard(2), budget=budget),
+        lambda budget: exact_rho1(2, 2, budget=budget),
+        lambda budget: exact_joint(2, 1, (1, 0), budget=budget),
+        lambda budget: count_near_minimal(2, 2, 1, budget=budget),
+    ]
+    for call in calls:
+        call(DEFAULT_BUDGET)  # every memo is filled
+    for call in calls:
+        with pytest.raises(WorkBudgetExceeded):
+            call(10)
+
+
+def test_sweep_module_loads_on_the_first_sweep():
+    code = (
+        "import sys\n"
+        "import torusboot.cli, torusboot.verify\n"
+        "assert 'torusboot.sweep' not in sys.modules\n"
+        "from torusboot.dynamics import Standard\n"
+        "from torusboot.extremal import min_protecting_size\n"
+        "assert min_protecting_size(2, 1, Standard(2)) == 4\n"
+        "assert 'torusboot.sweep' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(extremal.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
