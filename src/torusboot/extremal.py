@@ -22,7 +22,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import Modified, Rule, Standard
 from .formulas import ell
-from .lattice import Site, ball_size, enumerate_ball, l1_norm
+from .lattice import Site, ball_size, enumerate_ball
 
 if TYPE_CHECKING:
     from . import sweep
@@ -327,93 +327,28 @@ def count_near_minimal(d: int, t: int, k: int, rule: Rule | None = None, *, budg
 
 
 # ---------------------------------------------------------------------------
-# Lemma checkers
-
-
-@dataclass(frozen=True)
-class KeyLemmaReport:
-    x: Site
-    config: tuple[int, ...]
-    k: int
-    compatible_protected: int
-    bound: int
-
-    @property
-    def holds(self) -> bool:
-        return self.compatible_protected >= self.bound
+# Lemma bounds
 
 
 def key_lemma_bound(config: tuple[int, ...], k: int) -> int:
+    """sum_{i<=k} C(a, i), a the number of free (zero) entries of config:
+    the fewest protected sites the key lemma allows at distance k from a
+    protected x inside config's orthants."""
     a = sum(1 for c in config if c == 0)
     return sum(math.comb(a, i) for i in range(0, k + 1))
 
 
-def check_key_lemma(
-    protected: np.ndarray,
-    d: int,
-    t: int,
-    x: Site,
-    config: tuple[int, ...],
-    k: int,
-) -> KeyLemmaReport:
-    """Count sites of a protected set of B_t, one row of
-    dynamics.protected_set, compatible with `config` at distance k from x
-    and compare with the binomial lower bound.
-
-    The bound requires the configuration to agree with the sign of x on
-    every nonzero coordinate: a free or opposing direction there admits
-    counterexamples, e.g. d=2, t=3, x=(1,-1), config (0,0), k=1 with a
-    protected origin has only 2 compatible protected sites against a
-    bound of 3.  Only zero coordinates of x may be freely constrained.
-
-    Precondition failures (x not protected, k out of range, misaligned
-    config) raise PreconditionError; a False report is a genuine lemma
-    violation.
-    """
-    if len(x) != d or len(config) != d:
-        raise PreconditionError("x and config must have length d")
-    if any(c not in (-1, 0, 1) for c in config):
-        raise PreconditionError("config entries must be in {-1, 0, 1}")
-    if any(xi != 0 and c != (1 if xi > 0 else -1) for xi, c in zip(x, config)):
-        raise PreconditionError("config must equal sign(x_i) on nonzero coordinates of x")
-    if not 0 <= k <= t - l1_norm(x):
-        raise PreconditionError(f"k={k} outside [0, {t - l1_norm(x)}]")
-    ball = enumerate_ball(d, t)
-    if not protected[ball.index_of[x]]:
-        raise PreconditionError(f"site {x} is not protected")
-    n = 0
-    for y in compress(ball.sites, protected):
-        if sum(abs(yi - xi) for yi, xi in zip(y, x)) != k:
-            continue
-        if all((yi - xi) * c >= 0 for yi, xi, c in zip(y, x, config)):
-            n += 1
-    return KeyLemmaReport(
-        x=x, config=tuple(config), k=k, compatible_protected=n, bound=key_lemma_bound(config, k)
-    )
-
-
-@dataclass(frozen=True)
-class LayerReport:
-    k: int
-    protected_count: int
-    bound: int
-
-    @property
-    def holds(self) -> bool:
-        return self.protected_count >= self.bound
-
-    @property
-    def minimal(self) -> bool:
-        return self.protected_count == self.bound
-
-
-def check_layer_bounds(protected: np.ndarray, d: int, t: int) -> list[LayerReport]:
-    """Per-layer counts of a protected set of B_t, one row of
-    dynamics.protected_set, against the column layer sizes."""
-    if not protected[0]:  # the origin is the first site of enumerate_ball
+def check_layer_bounds(protected: np.ndarray, d: int, t: int) -> np.ndarray:
+    """Per-layer slack of a batch of protected sets of B_t, rows of
+    dynamics.protected_set: [row, k - 1] is the number of protected sites
+    of norm k minus the column layer size ell(k, d), for k = 1..t.  A layer
+    bound fails where it is negative and is tight where it is zero."""
+    if not protected[:, 0].all():  # the origin is the first site of enumerate_ball
         raise PreconditionError("origin is not protected")
-    by_norm = np.bincount(dynamics._ball_norms(d, t)[protected], minlength=t + 1)
-    return [LayerReport(k=k, protected_count=int(by_norm[k]), bound=ell(k, d)) for k in range(1, t + 1)]
+    layers = np.arange(1, t + 1)
+    in_layer = dynamics._ball_norms(d, t)[:, np.newaxis] == layers  # [site, k - 1]
+    by_norm = protected.astype(np.int64) @ in_layer
+    return by_norm - np.array([ell(k, d) for k in layers])
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +369,9 @@ def sample_protected_configs(
     protection test are discarded.  q is an engineering knob: the lemma
     checkers are deterministic, any reachable configuration is valid.
     """
-    ball = enumerate_ball(d, t)
-    n_sites = len(ball)
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be at least 1, got {n_configs}")
+    n_sites = len(enumerate_ball(d, t))
     out: list[np.ndarray] = []
     batch = max(64, min(4096, 4 * n_configs))
     for _ in range(SAMPLER_MAX_BATCHES):

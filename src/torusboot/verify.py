@@ -100,68 +100,74 @@ def criterion_rho1_exact() -> CriterionReport:
 KEY_LEMMA_CELLS = [(d, t) for d in (2, 3) for t in (2, 3, 4)]
 KEY_LEMMA_TOTAL = 10_000
 _SAMPLING_Q = {2: 0.80, 3: 0.85}
+_LEMMA_CHUNK = 128  # configurations per matrix product in _lemma_counts
 
 
 @lru_cache(maxsize=None)
-def _lemma_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(pair_bin, compatible, checked, bound) over the sites of enumerate_ball(d, t).
+def _lemma_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(site, bound, incidence), one row per key-lemma check (x, C, k) over
+    the sites of enumerate_ball(d, t).
 
-    A sign pattern P and a configuration C share one index, their order in
-    product((-1, 0, 1), repeat=d).
-    pair_bin[x, y]    P(sign(y - x)) * (2t+1) + ||y - x||
-    compatible[C, P]  C_i P_i >= 0 on every axis
-    checked[x, C, k]  C equals sign(x_i) on every nonzero x_i, and k <= t - ||x||
-    bound[C, k]       extremal.key_lemma_bound(C, k)
+    A check takes a site x, a configuration C in {-1, 0, 1}^d that equals
+    sign(x_i) on every nonzero coordinate of x, and a distance
+    k = 0..t-||x||.  The bound needs that hypothesis: a free or opposing
+    direction on a nonzero coordinate admits counterexamples, e.g. d=2,
+    t=3, x=(1,-1), C=(0,0), k=1 with a protected origin has only 2
+    compatible protected sites against a bound of 3.
+    site[row]          index of x
+    bound[row]         extremal.key_lemma_bound(C, k)
+    incidence[row, y]  1 where ||y - x|| = k and (y_i - x_i) C_i >= 0 on every axis
+    incidence is float32, so the counts run in BLAS and stay exact below 2^24.
     """
     configs = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
-    coords = np.array(enumerate_ball(d, t).sites, dtype=np.int64)
+    # int8: every entry of y - x lies in [-2t, 2t], and the suite's t is small
+    coords = np.array(enumerate_ball(d, t).sites, dtype=np.int8)
     diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]  # [x, y, axis] = y - x
+    # sign pattern of y - x, indexed like configs
     pattern = (np.sign(diff) + 1) @ 3 ** np.arange(d - 1, -1, -1)
-    pair_bin = pattern * (2 * t + 1) + np.abs(diff).sum(axis=2)
-    # float64, so the per-configuration product runs in BLAS; counts stay exact
-    compatible = (configs[:, np.newaxis, :] * configs[np.newaxis, :, :] >= 0).all(axis=2).astype(np.float64)
+    dist = np.abs(diff).sum(axis=2)
+    compatible = (configs[:, np.newaxis, :] * configs[np.newaxis, :, :] >= 0).all(axis=2)  # [C, pattern]
     signs = np.sign(coords)[:, np.newaxis, :]
     aligned = ((signs == 0) | (signs == configs)).all(axis=2)  # [x, C]
     in_range = np.arange(t + 1) <= t - np.abs(coords).sum(axis=1)[:, np.newaxis]  # [x, k]
-    checked = aligned[:, :, np.newaxis] & in_range[:, np.newaxis, :]
-    bound = np.array([[extremal.key_lemma_bound(tuple(C), k) for k in range(t + 1)] for C in configs.tolist()])
-    for table in (pair_bin, compatible, checked, bound):
+    site, config, k = np.nonzero(aligned[:, :, np.newaxis] & in_range[:, np.newaxis, :])
+    bounds = [[extremal.key_lemma_bound(tuple(C), j) for j in range(t + 1)] for C in configs.tolist()]
+    bound = np.array(bounds)[config, k]
+    incidence = np.empty((site.size, coords.shape[0]), dtype=np.float32)
+    for start in range(0, site.size, 256):  # gathered in blocks, to keep temporaries small
+        rows = slice(start, start + 256)
+        x = site[rows]
+        incidence[rows] = compatible[config[rows, np.newaxis], pattern[x]] & (dist[x] == k[rows, np.newaxis])
+    for table in (site, bound, incidence):
         table.flags.writeable = False  # shared by every caller
-    return pair_bin, compatible, checked, bound
+    return site, bound, incidence
 
 
-def _lemma_violations_for_config(d: int, t: int, protected: np.ndarray) -> tuple[int, int, bool]:
-    """(n_checks, n_violations, layer_bounds_ok) for one origin-protected
-    state, given its protected set (one row of dynamics.protected_set).
+def _lemma_counts(d: int, t: int, protected: np.ndarray) -> tuple[int, int]:
+    """(n_checks, n_violations) over a batch of origin-protected states,
+    given their protected sets (rows of dynamics.protected_set).
 
-    A check is one (x, C, k): a protected site x, a configuration C that
-    equals sign(x_i) on every nonzero coordinate of x (the hypothesis
-    under which the bound holds; zero coordinates range over {-1, 0, 1}),
-    and a distance k = 0..t-||x||.  It fails when fewer protected sites y
-    with ||y - x|| = k satisfy (y_i - x_i) C_i >= 0 on every axis than
-    key_lemma_bound(C, k).
-
-    All checks are decided at once.  One bincount gives, for every
-    protected x, the protected sites y per (sign pattern of y - x,
-    distance); a configuration's count is the sum over the patterns it is
-    compatible with, one matrix product for every x and k.
+    A row of _lemma_table is checked on every state where its x is
+    protected, and fails when fewer protected sites y of its incidence
+    than its bound are protected.  All of a chunk's checks are counted by
+    one matrix product.
     """
-    pair_bin, compatible, checked, bound = _lemma_table(d, t)
-    idx = np.flatnonzero(protected)
-    n_bins = compatible.shape[0] * (2 * t + 1)
-    bins = pair_bin[idx][:, idx] + n_bins * np.arange(idx.size)[:, np.newaxis]
-    hist = np.bincount(bins.ravel(), minlength=n_bins * idx.size).reshape(idx.size, -1, 2 * t + 1)
-    counts = compatible @ hist[:, :, : t + 1]  # [x, C, k]
-    checks = checked[idx]
-    n_checks = int(checks.sum())
-    n_viol = int((checks & (counts < bound)).sum())
-    layers_ok = all(r.holds for r in extremal.check_layer_bounds(protected, d, t))
-    return n_checks, n_viol, layers_ok
+    site, bound, incidence = _lemma_table(d, t)
+    n_checks = n_viol = 0
+    for start in range(0, len(protected), _LEMMA_CHUNK):
+        chunk = protected[start : start + _LEMMA_CHUNK]
+        counts = incidence @ chunk.T.astype(np.float32)  # [row, state]
+        at_x = chunk.T[site]  # [row, state]: x protected
+        n_checks += int(at_x.sum())
+        n_viol += int((at_x & (counts < bound[:, np.newaxis])).sum())
+    return n_checks, n_viol
 
 
 def criterion_key_lemma(total: int = KEY_LEMMA_TOTAL, seed: int = MASTER_SEED) -> CriterionReport:
     """Random origin-protected configurations: compatible-protected counts
     never fall below the binomial bound, and layer bounds always hold."""
+    if total < len(KEY_LEMMA_CELLS):
+        raise ValueError(f"total must be at least {len(KEY_LEMMA_CELLS)}, one configuration per cell; got {total}")
     rep = CriterionReport("key lemma property suite: zero violations on random configurations", True)
     per_cell = total // len(KEY_LEMMA_CELLS)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -170,12 +176,9 @@ def criterion_key_lemma(total: int = KEY_LEMMA_TOTAL, seed: int = MASTER_SEED) -
         configs = extremal.sample_protected_configs(
             d, t, rule, per_cell, rng, q=_SAMPLING_Q[d]
         )
-        checks = viol = bad_layers = 0
-        for protected in dynamics.protected_set(np.stack(configs), d, t, rule):
-            c, v, layers_ok = _lemma_violations_for_config(d, t, protected)
-            checks += c
-            viol += v
-            bad_layers += 0 if layers_ok else 1
+        protected = dynamics.protected_set(np.stack(configs), d, t, rule)
+        checks, viol = _lemma_counts(d, t, protected)
+        bad_layers = int((extremal.check_layer_bounds(protected, d, t) < 0).any(axis=1).sum())
         _check(rep, viol == 0, f"d={d} t={t}: {viol} lemma violations in {checks} checks")
         _check(rep, bad_layers == 0, f"d={d} t={t}: {bad_layers} layer-bound failures")
     return rep

@@ -77,6 +77,8 @@ def test_key_lemma_calls_its_traced_functions(monkeypatch):
                                 (extremal, "check_layer_bounds")])
     assert verify.criterion_key_lemma(total=60).passed
     assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds"}
+    # the layer bounds take each cell's whole batch at once, not one row per call
+    assert calls["check_layer_bounds"] == len(verify.KEY_LEMMA_CELLS)
 
 
 def experiment(tmp_path, measure, trials):

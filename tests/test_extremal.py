@@ -18,7 +18,6 @@ from torusboot.extremal import (
     PreconditionError,
     SemiCanonical,
     WorkBudgetExceeded,
-    check_key_lemma,
     check_layer_bounds,
     classification_tag,
     classify,
@@ -29,7 +28,7 @@ from torusboot.extremal import (
     min_protecting_size,
 )
 from torusboot.formulas import ell, leading_term, m
-from torusboot.lattice import dependency_offsets, enumerate_ball
+from torusboot.lattice import dependency_offsets, enumerate_ball, l1_norm
 
 
 def column_sites(d, t):
@@ -514,53 +513,59 @@ def test_count_near_minimal():
     assert count_near_minimal(2, 1, 2) == 0
 
 
-def test_check_key_lemma_tight_on_column():
-    d, t = 2, 2
-    protected = protected_row(d, t, column_sites(d, t), Standard(d))
-    report = check_key_lemma(protected, d, t, (0, 0), (0, 0), t)
-    assert report.holds
-    assert report.compatible_protected == ell(t, d)
-    assert report.bound == ell(t, d)
-
-
-def test_check_key_lemma_slack_on_full_ball():
-    d, t = 2, 2
-    protected = protected_row(d, t, set(enumerate_ball(d, t).sites), Standard(d))
-    report = check_key_lemma(protected, d, t, (1, 0), (1, 0), 1)
-    assert report.holds
-    assert report.compatible_protected > report.bound
-
-
-def test_check_key_lemma_preconditions():
-    d, t = 2, 2
-    protected = protected_row(d, t, column_sites(d, t), Standard(d))
-    with pytest.raises(PreconditionError):
-        check_key_lemma(protected, d, t, (0, 0), (0, 0), t + 1)  # k too large
-    with pytest.raises(PreconditionError):
-        check_key_lemma(protected, d, t, (2, 0), (1, 0), 0)  # x not protected
-    with pytest.raises(PreconditionError):
-        check_key_lemma(protected, d, t, (0, 1), (0, -1), 1)  # config against sign
-
-
 def test_layer_bounds_column_minimal():
     d, t = 2, 3
     protected = protected_row(d, t, column_sites(d, t), Standard(d))
-    reports = check_layer_bounds(protected, d, t)
-    assert all(r.holds and r.minimal for r in reports)
+    assert (check_layer_bounds(protected[np.newaxis], d, t) == 0).all()
 
 
 def test_layer_bounds_full_ball_not_minimal():
     d, t = 2, 2
     protected = protected_row(d, t, set(enumerate_ball(d, t).sites), Standard(d))
-    reports = check_layer_bounds(protected, d, t)
-    assert all(r.holds for r in reports)
-    assert not any(r.minimal for r in reports)
+    assert (check_layer_bounds(protected[np.newaxis], d, t) > 0).all()
 
 
 def test_layer_bounds_requires_protected_origin():
     protected = protected_row(2, 2, {(0, 0)}, Standard(2))
     with pytest.raises(PreconditionError):
-        check_layer_bounds(protected, 2, 2)
+        check_layer_bounds(protected[np.newaxis], 2, 2)
+
+
+def test_layer_bounds_batch_matches_per_row_counts():
+    d, t = 2, 3
+    sites = enumerate_ball(d, t).sites
+    column = protected_row(d, t, column_sites(d, t), Standard(d))
+    full = protected_row(d, t, set(sites), Standard(d))
+    origin_only = np.zeros(len(sites), dtype=bool)
+    origin_only[0] = True
+    batch = np.stack([column, full, origin_only])
+    slack = check_layer_bounds(batch, d, t)
+    want = [
+        [sum(1 for s, p in zip(sites, row) if p and l1_norm(s) == k) - ell(k, d) for k in range(1, t + 1)]
+        for row in batch
+    ]
+    assert slack.tolist() == want
+    assert (slack[0] == 0).all() and (slack[1] > 0).all() and (slack[2] < 0).all()
+    # the criterion's bad_layers counts rows with any failing layer: only the last
+    assert (slack < 0).any(axis=1).tolist() == [False, False, True]
+
+
+def test_layer_bounds_refuse_a_batch_with_one_unprotected_origin():
+    d, t = 2, 3
+    column = protected_row(d, t, column_sites(d, t), Standard(d))
+    batch = np.stack([column, column, column])
+    batch[1, 0] = False
+    with pytest.raises(PreconditionError):
+        check_layer_bounds(batch, d, t)
+
+
+def test_sampler_refuses_an_empty_request_before_drawing():
+    rng = np.random.Generator(np.random.PCG64(3))
+    state = rng.bit_generator.state
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_configs"):
+            extremal.sample_protected_configs(2, 2, Standard(2), n, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_certificate_json_shape():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import dataclass
 from itertools import compress, product
 
 import numpy as np
@@ -7,7 +8,58 @@ import pytest
 
 from torusboot import dynamics, extremal, formulas, montecarlo, verify
 from torusboot.dynamics import Modified, Standard
+from torusboot.extremal import PreconditionError
 from torusboot.lattice import enumerate_ball, l1_norm
+
+
+# ---------------------------------------------------------------------------
+# Scalar key-lemma reference: one (x, C, k) check at a time, site by site
+
+
+@dataclass(frozen=True)
+class KeyLemmaReport:
+    x: tuple[int, ...]
+    config: tuple[int, ...]
+    k: int
+    compatible_protected: int
+    bound: int
+
+    @property
+    def holds(self) -> bool:
+        return self.compatible_protected >= self.bound
+
+
+def check_key_lemma(protected, d, t, x, config, k):
+    """Count sites of a protected set of B_t, one row of
+    dynamics.protected_set, compatible with `config` at distance k from x
+    and compare with extremal.key_lemma_bound.
+
+    The configuration must equal sign(x_i) on every nonzero coordinate of
+    x (see verify._lemma_table for a counterexample without it).
+    Precondition failures (x not protected, k out of range, misaligned
+    config) raise PreconditionError; a False report is a genuine lemma
+    violation.
+    """
+    if len(x) != d or len(config) != d:
+        raise PreconditionError("x and config must have length d")
+    if any(c not in (-1, 0, 1) for c in config):
+        raise PreconditionError("config entries must be in {-1, 0, 1}")
+    if any(xi != 0 and c != (1 if xi > 0 else -1) for xi, c in zip(x, config)):
+        raise PreconditionError("config must equal sign(x_i) on nonzero coordinates of x")
+    if not 0 <= k <= t - l1_norm(x):
+        raise PreconditionError(f"k={k} outside [0, {t - l1_norm(x)}]")
+    ball = enumerate_ball(d, t)
+    if not protected[ball.index_of[x]]:
+        raise PreconditionError(f"site {x} is not protected")
+    n = 0
+    for y in compress(ball.sites, protected):
+        if sum(abs(yi - xi) for yi, xi in zip(y, x)) != k:
+            continue
+        if all((yi - xi) * c >= 0 for yi, xi, c in zip(y, x, config)):
+            n += 1
+    return KeyLemmaReport(
+        x=x, config=tuple(config), k=k, compatible_protected=n, bound=extremal.key_lemma_bound(config, k)
+    )
 
 
 def scalar_lemma_counts(d, t, protected):
@@ -18,38 +70,89 @@ def scalar_lemma_counts(d, t, protected):
         for config in product(*choices):
             for k in range(t - l1_norm(x) + 1):
                 n_checks += 1
-                if not extremal.check_key_lemma(protected, d, t, x, config, k).holds:
+                if not check_key_lemma(protected, d, t, x, config, k).holds:
                     n_viol += 1
     return n_checks, n_viol
 
 
-@pytest.mark.parametrize("d,t", verify.KEY_LEMMA_CELLS)
-def test_tensor_lemma_counts_match_scalar_checker(d, t):
+def protected_row(d, t, sites):
+    """One row of the batched protected set, for the state with `sites` uninfected."""
+    return dynamics.protected_set(dynamics.ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, Standard(d))[0]
+
+
+def column_sites(d, t):
+    return {s for s in enumerate_ball(d, t).sites if all(c in (0, 1) for c in s[: d - 1])}
+
+
+def test_check_key_lemma_tight_on_column():
+    d, t = 2, 2
+    protected = protected_row(d, t, column_sites(d, t))
+    report = check_key_lemma(protected, d, t, (0, 0), (0, 0), t)
+    assert report.holds
+    assert report.compatible_protected == formulas.ell(t, d)
+    assert report.bound == formulas.ell(t, d)
+
+
+def test_check_key_lemma_slack_on_full_ball():
+    d, t = 2, 2
+    protected = protected_row(d, t, set(enumerate_ball(d, t).sites))
+    report = check_key_lemma(protected, d, t, (1, 0), (1, 0), 1)
+    assert report.holds
+    assert report.compatible_protected > report.bound
+
+
+def test_check_key_lemma_preconditions():
+    d, t = 2, 2
+    protected = protected_row(d, t, column_sites(d, t))
+    with pytest.raises(PreconditionError):
+        check_key_lemma(protected, d, t, (0, 0), (0, 0), t + 1)  # k too large
+    with pytest.raises(PreconditionError):
+        check_key_lemma(protected, d, t, (2, 0), (1, 0), 0)  # x not protected
+    with pytest.raises(PreconditionError):
+        check_key_lemma(protected, d, t, (0, 1), (0, -1), 1)  # config against sign
+
+
+def sampled_protected_sets(d, t, n, seed):
     rule = Standard(d)
-    rng = np.random.Generator(np.random.PCG64(11 * d + t))
-    configs = extremal.sample_protected_configs(d, t, rule, 6, rng, q=verify._SAMPLING_Q[d])
-    for protected in dynamics.protected_set(np.stack(configs), d, t, rule):
-        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, protected)
-        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, protected)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    configs = extremal.sample_protected_configs(d, t, rule, n, rng, q=verify._SAMPLING_Q[d])
+    return dynamics.protected_set(np.stack(configs), d, t, rule)
+
+
+def scalar_cell_counts(d, t, protected):
+    per_row = [scalar_lemma_counts(d, t, row) for row in protected]
+    return sum(c for c, _ in per_row), sum(v for _, v in per_row)
+
+
+@pytest.mark.parametrize("d,t", verify.KEY_LEMMA_CELLS)
+def test_tensor_lemma_counts_match_scalar_checker(monkeypatch, d, t):
+    # six states in chunks of four: one full chunk and one partial one
+    monkeypatch.setattr(verify, "_LEMMA_CHUNK", 4)
+    protected = sampled_protected_sets(d, t, 6, 11 * d + t)
+    assert verify._lemma_counts(d, t, protected) == scalar_cell_counts(d, t, protected)
 
 
 @pytest.mark.parametrize("d,t", [(2, 3), (3, 2)])
 def test_tensor_lemma_counts_violations_like_the_scalar_checker(monkeypatch, d, t):
     # no sampled state violates the real bound, so raise it by one: exactly
     # the tight checks fail, and both checkers must count the same ones
-    rule = Standard(d)
-    rng = np.random.Generator(np.random.PCG64(5))
-    configs = extremal.sample_protected_configs(d, t, rule, 1, rng, q=verify._SAMPLING_Q[d])
-    (protected,) = dynamics.protected_set(np.stack(configs), d, t, rule)
+    monkeypatch.setattr(verify, "_LEMMA_CHUNK", 2)
+    protected = sampled_protected_sets(d, t, 3, 5)
     real_bound = extremal.key_lemma_bound
     monkeypatch.setattr(extremal, "key_lemma_bound", lambda config, k: real_bound(config, k) + 1)
     verify._lemma_table.cache_clear()
     try:
-        n_checks, n_viol, _ = verify._lemma_violations_for_config(d, t, protected)
-        assert (n_checks, n_viol) == scalar_lemma_counts(d, t, protected)
+        n_checks, n_viol = verify._lemma_counts(d, t, protected)
+        assert (n_checks, n_viol) == scalar_cell_counts(d, t, protected)
     finally:
         verify._lemma_table.cache_clear()
     assert 0 < n_viol < n_checks
+
+
+def test_key_lemma_refuses_fewer_configurations_than_cells():
+    with pytest.raises(ValueError, match="total"):
+        verify.criterion_key_lemma(total=len(verify.KEY_LEMMA_CELLS) - 1)
+    assert verify.criterion_key_lemma(total=len(verify.KEY_LEMMA_CELLS)).passed
 
 
 def test_key_lemma_check_counts_are_pinned():
