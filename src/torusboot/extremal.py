@@ -371,6 +371,8 @@ def sample_protected_configs(
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be at least 1, got {n_configs}")
+    if not 0 < q <= 1:
+        raise ValueError(f"q must be in (0, 1], got {q}")
     n_sites = len(enumerate_ball(d, t))
     out: list[np.ndarray] = []
     batch = max(64, min(4096, 4 * n_configs))

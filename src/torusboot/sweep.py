@@ -10,11 +10,13 @@ Infection is monotone, so a subset that leaves a target infected at time 0
 never protects it.  Both feeds therefore fix every target's plane to
 all-ones (uninfected) and enumerate subsets of the other sites only:
 mask_sweep runs all 2^(n-k) subsets of the n - k non-target sites of a
-domain with k targets, and size_layer_hits the subsets of one size.
-tests/test_extremal.py holds evolve_planes bit for bit to
-dynamics.evolve_finite_batch, the boolean reference, and both feeds to all
-2^n subsets run through it.  The extremal oracles import this module on
-their first sweep, so the package's other users never load it.
+domain with k targets, and size_layer_hits the subsets of one size, one
+word per run of 64 last elements after each shorter prefix, written
+straight into the planes.  tests/test_extremal.py holds evolve_planes bit
+for bit to dynamics.evolve_finite_batch, the boolean reference, both feeds
+to all 2^n subsets run through it, and every lane of size_layer_hits to
+itertools.combinations run through it.  The extremal oracles import this
+module on their first sweep, so the package's other users never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from .lattice import Site, ball_size, enumerate_ball, l1_norm
 
 _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
 _CHUNK_BITS = 13  # a mask sweep evolves 2^13 words (2^19 masks) at a time
-_SUBSET_BLOCK = 1 << 16  # subsets per block of a size-major sweep
+# A size-major block holds fewer than 2 * _PREFIX_BLOCK prefixes, each with
+# at most ceil(m / 64) words over the m non-target sites, so its planes take
+# under 2^16 * m * ceil(m / 64) bytes: 3.9 MiB at m = 62, 16 MiB at m = 128.
+_PREFIX_BLOCK = 1 << 12
 
 
 class Domain(NamedTuple):
@@ -121,16 +126,6 @@ def protects(planes: list[np.ndarray], dom: Domain, rule: Rule) -> np.ndarray:
     return first
 
 
-def pack_sites(uninfected: np.ndarray) -> list[np.ndarray]:
-    """(n_sites, rows) bool -> one plane per site, row i in bit i % 64 of word
-    i // 64.  Lanes past the last row read as all-infected subsets."""
-    n_sites, rows = uninfected.shape
-    padded = np.zeros((n_sites, -(-rows // 64) * 64), dtype=bool)
-    padded[:, :rows] = uninfected
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return list(packed.view("<u8").astype(np.uint64, copy=False))
-
-
 def lane_bits(plane: np.ndarray) -> np.ndarray:
     """(words,) uint64 -> (words, 64) bool, lane p of word w at [w, p]."""
     return np.unpackbits(plane.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little").astype(bool)
@@ -215,30 +210,45 @@ def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
     return Sweep(min_size=best, hits=tuple(hits), counts=tuple(int(c) for c in counts[: n + 1]))
 
 
-def _combination_table(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as increasing rows, in lexicographic order."""
-    table = np.zeros((1, 0), dtype=np.int64)
-    for col in range(k):
-        first = table[:, -1] + 1 if col else np.zeros(1, dtype=np.int64)
-        choices = m - k + col + 1 - first  # values for this column that leave room for the rest
+def _combination_table(n: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """The k-subsets of range(n) whose least element lies in range(lo, hi),
+    k >= 1, as increasing rows in lexicographic order."""
+    table = np.arange(lo, hi)[:, np.newaxis]
+    for col in range(1, k):
+        first = table[:, -1] + 1
+        choices = n - k + col + 1 - first  # values for this column that leave room for the rest
         offsets = np.cumsum(choices) - choices
         column = np.arange(choices.sum()) + np.repeat(first - offsets, choices)
         table = np.column_stack([np.repeat(table, choices, axis=0), column])
     return table
 
 
-def combination_blocks(n: int, u: int, rows: int = _SUBSET_BLOCK):
+def combination_blocks(n: int, u: int, rows: int):
     """The u-subsets of range(n) in lexicographic order, as arrays of fewer
-    than 2 * rows increasing rows."""
+    than 2 * rows increasing rows.
+
+    Runs of least elements whose subsets number at most rows together come
+    from one table; a least element with more subsets is split on its next
+    element.
+    """
 
     def split(prefix: tuple[int, ...], start: int, k: int):
-        if math.comb(n - start, k) <= rows:
-            tail = _combination_table(n - start, k) + start
+        if k == 0:
+            yield np.array([prefix], dtype=np.int64)
+            return
+        lo = start
+        while lo <= n - k:
+            if math.comb(n - lo - 1, k - 1) > rows:
+                yield from split(prefix + (lo,), lo + 1, k - 1)
+                lo += 1
+                continue
+            hi, size = lo, 0
+            while hi <= n - k and size + math.comb(n - hi - 1, k - 1) <= rows:
+                size, hi = size + math.comb(n - hi - 1, k - 1), hi + 1
+            tail = _combination_table(n, k, lo, hi)
             head = np.broadcast_to(np.array(prefix, dtype=np.int64), (len(tail), len(prefix)))
             yield np.hstack([head, tail])
-        else:
-            for first in range(start, n - k + 1):
-                yield from split(prefix + (first,), first + 1, k - 1)
+            lo = hi
 
     pending: list[np.ndarray] = []
     for block in split((), 0, u):
@@ -251,7 +261,9 @@ def combination_blocks(n: int, u: int, rows: int = _SUBSET_BLOCK):
 
 
 def layer_work(d: int, t: int, u: int) -> int:
-    """C(n-1, u-1), the subsets size_layer_hits evolves at size u on domain(d, t); 0 at u = 0."""
+    """C(n-1, u-1), the subsets size_layer_hits evolves at size u on
+    domain(d, t): the valid lanes it fills, not the invalid ones past the
+    last non-target site, which hold no target.  0 at u = 0."""
     return math.comb(ball_size(d, t) - 1, u - 1) if u else 0
 
 
@@ -259,21 +271,52 @@ def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
     """The size-u subsets of the domain that protect every target, in
     lexicographic order.
 
-    Only the subsets that hold the k targets are evolved: the u - k others
-    run over the non-target sites in lexicographic order, which stays
-    lexicographic once the targets are added, since adding the same set to
-    two sets of one size leaves their symmetric difference as it was.
+    Only the subsets that hold the k targets are evolved: s = u - k of the
+    m non-target sites join them.  Each (s-1)-prefix of indices into
+    dom.others, ending at a (a = -1 for the empty prefix), gets
+    ceil((m-1-a)/64) words; lane l of its c-th word is the prefix with
+    a + 1 + 64c + l added, and lanes past m - 1 are invalid.  A prefix
+    site's plane is its word's valid-lane mask, a tail site's plane the bit
+    of its lane (one shift over all of a block's words), every target's
+    plane the valid-lane mask, so no invalid lane holds a target and none
+    protects, and every other plane 0.  At s = 0 one word with one lane
+    holds the targets alone.  Prefixes come in lexicographic order and the
+    tail rises along the lanes, so the hits do too; they stay lexicographic
+    once the targets are added, since adding the same set to two sets of
+    one size leaves their symmetric difference as it was.
     """
-    n, k = len(dom.sites), len(dom.targets)
-    if u < k:
+    n, k, m = len(dom.sites), len(dom.targets), len(dom.others)
+    s = u - k
+    if not 0 <= s <= m:
         return []
+    if s == 0:  # one word with one lane: the targets alone
+        planes = [np.zeros(1, dtype=np.uint64)] * n
+        for g in dom.targets:
+            planes[g] = np.ones(1, dtype=np.uint64)
+        return [tuple(sorted(dom.targets))] if protects(planes, dom, rule)[0] else []
     others = np.array(dom.others, dtype=np.int64)
+    targets = np.array(dom.targets, dtype=np.int64)
     hits: list[tuple[int, ...]] = []
-    for subsets in combination_blocks(len(others), u - k):
-        chosen = others[subsets]
-        uninfected = np.zeros((n, len(chosen)), dtype=bool)
-        uninfected[chosen, np.arange(len(chosen))[:, np.newaxis]] = True
-        uninfected[list(dom.targets)] = True
-        good = lane_bits(protects(pack_sites(uninfected), dom, rule)).ravel()[: len(chosen)]
-        hits += map(tuple, np.nonzero(uninfected.T[good])[1].reshape(-1, u).tolist())
+    for prefixes in combination_blocks(m, s - 1, _PREFIX_BLOCK):
+        last = prefixes[:, -1] if s > 1 else np.full(len(prefixes), -1)
+        n_words = (m - 1 - last + 63) // 64
+        owner = np.repeat(np.arange(len(prefixes)), n_words)  # the prefix of each word
+        word = np.arange(owner.size)
+        start = last[owner] + 1 + 64 * (word - np.repeat(np.cumsum(n_words) - n_words, n_words))
+        valid = ~np.uint64(0) >> (64 - np.minimum(m - start, 64)).astype(np.uint64)
+        block = np.arange(m, dtype=np.uint64)[:, np.newaxis] - start.astype(np.uint64)
+        # site j's bit j - start, 0 outside the word's lanes (j < start wraps past 63)
+        np.left_shift(np.uint64(1), block, out=block)
+        block[prefixes[owner], word[:, np.newaxis]] = valid[:, np.newaxis]
+        planes = [valid] * n  # the targets' planes
+        for x, plane in zip(dom.others, block):
+            planes[x] = plane
+        good = protects(planes, dom, rule)
+        sel = np.flatnonzero(good)
+        if not sel.size:
+            continue
+        w, lane_hit = np.nonzero(lane_bits(good[sel]))
+        chosen = np.column_stack([prefixes[owner[sel[w]]], start[sel[w]] + lane_hit])
+        rows = np.column_stack([others[chosen], np.broadcast_to(targets, (len(w), k))])
+        hits += map(tuple, np.sort(rows, axis=1).tolist())
     return hits

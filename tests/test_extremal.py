@@ -121,25 +121,22 @@ def test_budget_boundaries_are_the_subsets_evolved():
 
 
 def spy_on_feeds(monkeypatch):
-    """The distinct subsets holding every target among the lanes the feeds
-    pass to sweep.protects, and the rows combination_blocks yields.  Lanes
-    past the valid masks repeat valid ones, and padded lanes hold no target."""
-    subsets, rows = set(), []
-    protects, combination_blocks = sweep.protects, sweep.combination_blocks
+    """The lanes holding every target that the feeds pass to sweep.protects:
+    the distinct subsets among them, and how many lanes each call held.  A
+    mask sweep's lanes past its valid masks repeat valid ones; a size-major
+    sweep's invalid lanes hold no target."""
+    subsets, held = set(), []
+    protects = sweep.protects
 
     def spy_protects(planes, dom, rule):
         lanes = np.stack([sweep.lane_bits(plane).ravel() for plane in planes], axis=1)
-        subsets.update(map(bytes, np.packbits(lanes[lanes[:, list(dom.targets)].all(axis=1)], axis=1)))
+        holding = lanes[lanes[:, list(dom.targets)].all(axis=1)]
+        subsets.update(map(bytes, np.packbits(holding, axis=1)))
+        held.append(len(holding))
         return protects(planes, dom, rule)
 
-    def spy_blocks(n, u, *args):
-        for block in combination_blocks(n, u, *args):
-            rows.append(len(block))
-            yield block
-
     monkeypatch.setattr(sweep, "protects", spy_protects)
-    monkeypatch.setattr(sweep, "combination_blocks", spy_blocks)
-    return subsets, rows
+    return subsets, held
 
 
 @pytest.mark.parametrize(
@@ -154,10 +151,12 @@ def spy_on_feeds(monkeypatch):
 )
 def test_refusal_estimate_is_the_work_the_feeds_do(monkeypatch, oracle, args, budget, size_major):
     clear_memos()
-    subsets, rows = spy_on_feeds(monkeypatch)
+    subsets, held = spy_on_feeds(monkeypatch)
     oracle(*args, budget=budget)
     work = len(subsets)
-    assert sum(rows) == (work if size_major else 0)
+    # the size-major feed's valid lanes are each subset once; a mask sweep
+    # evolves at least one whole word of 64 lanes
+    assert sum(held) == (work if size_major else max(work, 64))
     with pytest.raises(WorkBudgetExceeded) as exc:
         oracle(*args, budget=work - 1)
     assert exc.value.estimate == work
@@ -264,10 +263,65 @@ def test_both_feeds_match_the_boolean_reference_on_all_subsets(monkeypatch, d, t
 
 
 def test_combination_blocks_are_lexicographic():
-    for n, u in [(7, 0), (7, 3), (12, 5), (9, 9)]:
-        blocks = list(sweep.combination_blocks(n, u, rows=10))
-        assert all(len(b) < 20 for b in blocks)
-        assert [tuple(r) for b in blocks for r in b.tolist()] == list(combinations(range(n), u))
+    for n, u in [(7, 0), (7, 3), (12, 5), (9, 9), (40, 3)]:
+        for rows in (1, 3, 10, 1000):
+            blocks = list(sweep.combination_blocks(n, u, rows))
+            assert all(len(b) < 2 * rows for b in blocks)
+            assert [tuple(r) for b in blocks for r in b.tolist()] == list(combinations(range(n), u))
+
+
+@pytest.mark.parametrize(
+    "d,t,offset,sizes,prefix_block",
+    [
+        (3, 4, None, range(1, 4), None),  # 128 others: a tail spans two words
+        (3, 4, None, range(1, 4), 3),
+        (3, 4, None, range(1, 3), 1),
+        (2, 2, None, range(0, 15), None),  # every size, and one past the domain
+        (2, 2, None, range(0, 15), 3),
+        (2, 2, None, (0, 1, 2, 3, 4, 11, 12, 13, 14), 1),  # blocks of one prefix
+        (2, 2, (1, 0), range(0, 5), None),  # two targets: nothing below u = 2, s = 0 at u = 2
+        (2, 2, (1, 0), range(0, 5), 1),
+    ],
+    ids=["3-4", "3-4-block-3", "3-4-block-1", "2-2", "2-2-block-3", "2-2-block-1", "joint-2-2", "joint-2-2-block-1"],
+)
+def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, offset, sizes, prefix_block):
+    """Every lane that holds the targets, in the order the size-major feed
+    evolves them, is the next subset of itertools.combinations over
+    dom.others with the targets added, and its protection bit is the boolean
+    reference's; no other lane protects.  A prefix_block of 1 or 3 puts
+    block boundaries inside every layer."""
+    dom = sweep.domain(d, t, offset)
+    n, k = len(dom.sites), len(dom.targets)
+    nbr = dynamics.neighbor_matrix(dom.sites)
+    if prefix_block is not None:
+        monkeypatch.setattr(sweep, "_PREFIX_BLOCK", prefix_block)
+    evolved = []
+    protects = sweep.protects
+
+    def spy_protects(planes, dom, rule):
+        good = protects(planes, dom, rule)
+        lanes = np.stack([sweep.lane_bits(plane).ravel() for plane in planes], axis=1)
+        bits = sweep.lane_bits(good).ravel()
+        holding = lanes[:, list(dom.targets)].all(axis=1)
+        assert not bits[~holding].any()
+        evolved.append((lanes[holding], bits[holding]))
+        return good
+
+    monkeypatch.setattr(sweep, "protects", spy_protects)
+    for rule in (Modified(), Standard(d), Standard(2 * d)):
+        for u in sizes:
+            evolved.clear()
+            subsets = [sorted(dom.targets + c) for c in combinations(dom.others, u - k)] if u >= k else []
+            uninf = np.zeros((len(subsets), n), dtype=bool)
+            for row, subset in zip(uninf, subsets):
+                row[subset] = True
+            want = dynamics.evolve_finite_batch(uninf, nbr, rule, steps=t)[:, list(dom.targets)].all(axis=1)
+            hits = sweep.size_layer_hits(dom, rule, u)
+            lanes = np.concatenate([held for held, _ in evolved] + [np.zeros((0, n), dtype=bool)])
+            bits = np.concatenate([good for _, good in evolved] + [np.zeros(0, dtype=bool)])
+            np.testing.assert_array_equal(lanes, uninf)
+            np.testing.assert_array_equal(bits, want)
+            assert hits == [tuple(s) for s, good in zip(subsets, want) if good], (rule, u)
 
 
 def test_count_certificates_2_2():
@@ -440,6 +494,16 @@ def kernel_cases(draw):
     return d, t, rule, offset, rows, q, seed
 
 
+def pack_sites(uninfected):
+    """(n_sites, rows) bool -> one plane per site, row i in bit i % 64 of word
+    i // 64.  Lanes past the last row read as all-infected subsets."""
+    n_sites, rows = uninfected.shape
+    padded = np.zeros((n_sites, -(-rows // 64) * 64), dtype=bool)
+    padded[:, :rows] = uninfected
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return list(packed.view("<u8").astype(np.uint64, copy=False))
+
+
 @given(kernel_cases())
 @settings(max_examples=80, deadline=None)
 def test_packed_kernel_matches_boolean_reference(case):
@@ -448,7 +512,7 @@ def test_packed_kernel_matches_boolean_reference(case):
     uninf = np.random.default_rng(seed).random((rows, len(dom.sites))) < q
     nbr = dynamics.neighbor_matrix(dom.sites)
     want = dynamics.evolve_finite_batch(uninf, nbr, rule, steps=t)[:, list(dom.targets)]
-    planes = sweep.evolve_planes(sweep.pack_sites(uninf.T), dom, rule)
+    planes = sweep.evolve_planes(pack_sites(uninf.T), dom, rule)
     got = np.stack([sweep.lane_bits(p).ravel()[:rows] for p in planes], axis=1)
     np.testing.assert_array_equal(got, want)
 
@@ -566,6 +630,16 @@ def test_sampler_refuses_an_empty_request_before_drawing():
         with pytest.raises(ValueError, match="n_configs"):
             extremal.sample_protected_configs(2, 2, Standard(2), n, rng)
     assert rng.bit_generator.state == state
+
+
+def test_sampler_refuses_q_outside_0_1_before_drawing():
+    rng = np.random.Generator(np.random.PCG64(3))
+    state = rng.bit_generator.state
+    for q in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="q must be in"):
+            extremal.sample_protected_configs(2, 2, Standard(2), 3, rng, q=q)
+    assert rng.bit_generator.state == state
+    assert len(extremal.sample_protected_configs(2, 2, Standard(2), 3, rng, q=1.0)) == 3
 
 
 def test_certificate_json_shape():
