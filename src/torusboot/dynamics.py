@@ -1,22 +1,24 @@
 """Exact evolution of r-neighbour and modified bootstrap percolation.
 
-Two kinds of state are evolved, both as plain boolean arrays.  A torus is a
-d-dimensional grid of infected bits; torus_run steps it to full infection,
-to a fixpoint, or to a step limit, and returns the uninfected count after
-each step, which gives the percolation time T and every F_t of one run.
-Its first step is dense (torus_step_grid); once a dense step leaves few
-sites uninfected, torus_step_sparse steps those sites alone.  A ball is a
-batch of uninfected rows over the sites of enumerate_ball(d, t), whose
-exterior is permanently infected.  It answers protection questions
+Two kinds of state are evolved.  A torus is a d-dimensional grid of
+infected bits; torus_run packs its uninfected bits into uint64 words along
+the last axis, steps the words (torus_step_grid) to full infection, to a
+fixpoint, or to a step limit, and returns the uninfected count after each
+step, which gives the percolation time T and every F_t of one run.  A ball
+is a batch of boolean uninfected rows over the sites of enumerate_ball(d, t),
+whose exterior is permanently infected.  It answers protection questions
 exactly, because the state of x at time s depends only on initial states
 within l1 distance s of x.  protected_set maps a batch of rows to their
 protected sets in t kernel calls.
 
-The finite-domain stepper is written once, vectorised over a batch of
-boolean initial states.  The exhaustive sweeps of the extremal module run
-the bit-sliced light-cone kernel of the sweep module, 64 subsets per word.
-Its differential test in tests/test_extremal.py holds it bit for bit to
-evolve_finite_batch here, which stays the reference.
+Each rule is one bitwise expression over the uninfected planes of a site
+and its 2d neighbours (_stays_uninfected).  The torus step applies it to
+whole packed rows, and the exhaustive sweeps of the extremal module to 64
+subsets per word in the bit-sliced light-cone kernel of the sweep module.
+The boolean references stay: tests/test_dynamics.py holds torus_run to an
+np.roll step of the boolean grid, and tests/test_extremal.py holds the
+sweep kernel bit for bit to evolve_finite_batch here, the finite-domain
+stepper written once, vectorised over a batch of boolean initial states.
 """
 
 from __future__ import annotations
@@ -59,64 +61,79 @@ def check_rule(rule: Rule, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Torus evolution (grid arrays)
+# The bitwise rule, shared by the torus and the bit-sliced sweeps
 
 
-def torus_step_grid(infected: np.ndarray, rule: Rule) -> np.ndarray:
-    """One synchronous update of a d-dim boolean torus grid.
+def _stays_uninfected(planes: list[np.ndarray], x: int, row: tuple[int, ...], rule: Rule) -> np.ndarray:
+    """Plane of x after one step, from the planes of x and its neighbours."""
+    if isinstance(rule, Modified):
+        # uninfected while some axis has both neighbours uninfected
+        keep = planes[row[0]] & planes[row[1]]
+        for plus, minus in zip(row[2::2], row[3::2]):
+            keep = keep | (planes[plus] & planes[minus])
+        return planes[x] & keep
+    # uninfected while fewer than r neighbours are infected, that is while at
+    # least 2d - r + 1 are uninfected
+    need = len(row) - rule.r + 1
+    runs: list[np.ndarray] = []  # runs[k]: at least k + 1 neighbours so far are uninfected
+    for nb in row:
+        carries = [planes[nb]] + [run & planes[nb] for run in runs[: need - 1]]
+        runs = [run | carry for run, carry in zip(runs, carries)] + carries[len(runs) :]
+    return planes[x] & runs[need - 1]
 
-    np.roll on an n=2 axis folds x+e_i and x-e_i onto the same site, so the
-    summed count honours adjacency multiplicity on degenerate tori.
+
+# ---------------------------------------------------------------------------
+# Torus evolution (packed words)
+
+
+def _pack_uninfected(infected: np.ndarray) -> np.ndarray:
+    """Uninfected bits of a boolean grid, packed along the last axis.
+
+    Site i of a last-axis row is bit i % 64 of word i // 64; the pad bits
+    past the row's n sites are 0, and every step keeps them 0.
     """
-    d = infected.ndim
-    if isinstance(rule, Standard):
-        count = np.zeros(infected.shape, dtype=np.uint8)
-        for ax in range(d):
-            count += np.roll(infected, 1, axis=ax)
-            count += np.roll(infected, -1, axis=ax)
-        return infected | (count >= rule.r)
-    ok = np.ones(infected.shape, dtype=bool)
-    for ax in range(d):
-        ok &= np.roll(infected, 1, axis=ax) | np.roll(infected, -1, axis=ax)
-    return infected | ok
+    n = infected.shape[-1]
+    words = -(-n // 64)
+    packed = np.zeros(infected.shape[:-1] + (8 * words,), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(infected, axis=-1, bitorder="little")
+    packed = packed.view("<u8")
+    np.invert(packed, out=packed)
+    if n % 64:
+        packed[..., -1] &= (1 << n % 64) - 1
+    return packed
 
 
-# After a dense step that leaves at most 1/_SPARSE_SWITCH of the sites
-# uninfected, torus_run steps only the uninfected sites.  Measured by
-# scripts/sparse_crossover.py (512^2 and 64^3 grids, both rules, 2-vCPU
-# Xeon, seeds 0 and 1): a sparse step costs 0.5-0.9 dense steps at 1/64 of
-# the sites, 0.9-1.8 at 1/32 and 1.6-41 at 1/16 to 1/2, and the switch
-# itself (the flatnonzero) costs up to one dense step.  The frontier only
-# shrinks, so the run never switches back.  The sparse temporaries take
-# ~35 bytes per uninfected site, under one byte per grid site at 1/64.
-_SPARSE_SWITCH = 64
+def _roll(words: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """np.roll(words, shift, axis) for shift = +-1 as one concatenate: 4 us
+    against np.roll's 11 us on the words of a 512^2 grid (2-vCPU host)."""
+    cut = -shift % words.shape[axis]
+    lead = (slice(None),) * (axis % words.ndim)
+    return np.concatenate((words[lead + (slice(cut, None),)], words[lead + (slice(None, cut),)]), axis=axis)
 
 
-def torus_step_sparse(
-    flat: np.ndarray, shape: tuple[int, ...], frontier: np.ndarray, rule: Rule
-) -> np.ndarray:
-    """One synchronous update of the uninfected sites of a torus grid.
+def torus_step_grid(words: np.ndarray, n: int, rule: Rule) -> np.ndarray:
+    """One synchronous update of a d-dim torus whose last axis has n sites,
+    packed as by _pack_uninfected; returns the new words.
 
-    flat is the grid's infected bits in C order and is updated in place;
-    frontier holds the flat index of every uninfected site.  Neighbours are
-    found by coordinate arithmetic mod n on each axis, so on an n <= 2 axis
-    x+e_i and x-e_i fold onto one site, as np.roll does in torus_step_grid.
-    Every count is gathered before any site is written.  Returns the
-    indices still uninfected.
+    The other axes roll whole words.  Along the last axis a neighbour
+    plane is a one-bit shift with a carry from the next word, and the row's
+    ends, bit 0 of the first word and bit (n - 1) % 64 of the last, swap
+    bits across the pad.  A neighbour plane's pad bits may be set; the rule
+    ANDs them with the site's own plane, whose pad bits are 0.  On an n <= 2
+    axis x+e_i and x-e_i are one site, counted twice.
     """
-    pairs = []  # infected bits of x+e_i and x-e_i, one pair per axis i
-    stride = 1
-    for n in reversed(shape):
-        coord = frontier // stride % n
-        pairs.append((flat[frontier + np.where(coord == n - 1, (1 - n) * stride, stride)],
-                      flat[frontier + np.where(coord == 0, (n - 1) * stride, -stride)]))
-        stride *= n
-    if isinstance(rule, Standard):
-        infect = sum(plus.astype(np.uint8) + minus for plus, minus in pairs) >= rule.r
-    else:
-        infect = np.logical_and.reduce([plus | minus for plus, minus in pairs])
-    flat[frontier[infect]] = True
-    return frontier[~infect]
+    planes = [words]
+    for ax in range(words.ndim - 1):
+        planes += [_roll(words, -1, ax), _roll(words, 1, ax)]
+    last = (n - 1) % 64
+    plus = words >> 1  # bit j of word w: site 64w + j + 1
+    plus[..., :-1] |= words[..., 1:] << 63
+    plus[..., -1] |= (words[..., 0] & 1) << last
+    minus = words << 1  # bit j of word w: site 64w + j - 1
+    minus[..., 1:] |= words[..., :-1] >> 63
+    minus[..., 0] |= (words[..., -1] >> last) & 1
+    planes += [plus, minus]
+    return _stays_uninfected(planes, 0, tuple(range(1, len(planes))), rule)
 
 
 def torus_run(infected: np.ndarray, rule: Rule, max_steps: int | None = None) -> tuple[int, ...]:
@@ -126,23 +143,15 @@ def torus_run(infected: np.ndarray, rule: Rule, max_steps: int | None = None) ->
 
     T is len(counts) - 1 when counts[-1] == 0 (a fixpoint below full
     infection has no T), and F_t is counts[min(t, len(counts) - 1)].  The
-    first step is dense.  Once a dense step leaves few sites uninfected,
-    the run carries them as flat indices and steps only those.  The
-    caller's grid is never written.
+    run packs the grid once and steps the packed words; the caller's grid
+    is never written.
     """
-    size = infected.size
-    counts = [size - int(np.count_nonzero(infected))]
-    grid, frontier = infected, None
+    n = infected.shape[-1]
+    words = _pack_uninfected(infected)
+    counts = [int(np.bitwise_count(words).sum())]
     while counts[-1] and (max_steps is None or len(counts) <= max_steps):
-        if frontier is None and len(counts) > 1 and counts[-1] * _SPARSE_SWITCH <= size:
-            flat = grid.reshape(-1)  # a view of the grid the last dense step made
-            frontier = np.flatnonzero(~flat)
-        if frontier is None:
-            grid = torus_step_grid(grid, rule)
-            left = size - int(np.count_nonzero(grid))
-        else:
-            frontier = torus_step_sparse(flat, grid.shape, frontier, rule)
-            left = len(frontier)
+        words = torus_step_grid(words, n, rule)
+        left = int(np.bitwise_count(words).sum())
         if left == counts[-1]:
             break
         counts.append(left)

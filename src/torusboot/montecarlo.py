@@ -23,9 +23,8 @@ from .formulas import poisson_pmf
 
 _MASK64 = (1 << 64) - 1
 
-# Bytes one trial holds per site at its peak: the float64 uniforms, the
-# bool grid and the temporaries of a dense step.
-TRIAL_BYTES_PER_SITE = 16
+# Uniforms drawn at a time: every trial draws through one 256 KiB buffer.
+_DRAW_CHUNK = 1 << 15
 # Experiments whose concurrent trials would hold more than this are refused.
 MEMORY_LIMIT_BYTES = 2 * 2**30
 
@@ -37,10 +36,7 @@ class MemoryBudgetExceeded(Exception):
     def __init__(self, estimate: int, limit: int):
         self.estimate = estimate
         self.limit = limit
-        super().__init__(
-            f"experiment needs {_describe_bytes(estimate)} at once ({TRIAL_BYTES_PER_SITE} bytes per"
-            f" site for each trial running), limit is {_describe_bytes(limit)}"
-        )
+        super().__init__(f"experiment needs {_describe_bytes(estimate)} at once, limit is {_describe_bytes(limit)}")
 
 
 def _describe_bytes(nbytes: int) -> str:
@@ -77,8 +73,20 @@ class ExperimentConfig:
 
     @property
     def memory_estimate(self) -> int:
-        """Bytes held at once by the min(threads, trials) trials that run together."""
-        return TRIAL_BYTES_PER_SITE * self.n**self.d * min(self.threads, self.trials)
+        """Bytes held at once by the min(threads, trials) trials that run
+        together.
+
+        A trial holds at most two bool grids (a coupled trial thresholds one
+        draw twice), its draw buffer, and 8d + 2 packed planes of one uint64
+        word per 64 sites of a last-axis row: the words being stepped, their
+        2d neighbour planes and up to 6d + 1 temporaries of the standard
+        rule's running counts (r = 1 keeps the most).  Traced torus_run
+        peaks reach 8d - 2 planes at d = 1..5.
+        """
+        sites = self.n**self.d
+        plane = 8 * self.n ** (self.d - 1) * -(-self.n // 64)
+        trial = 2 * sites + (8 * self.d + 2) * plane + 8 * min(sites, _DRAW_CHUNK)
+        return trial * min(self.threads, self.trials)
 
     def __post_init__(self) -> None:
         check_rule(self.rule, self.d)
@@ -127,15 +135,29 @@ class EstimateWithCI:
     level: float
 
 
-def _uniforms(config: ExperimentConfig, trial_index: int) -> np.ndarray:
+def _draw_grids(config: ExperimentConfig, trial_index: int, qs: tuple[float, ...]) -> list[np.ndarray]:
+    """One trial's infected grids, one per q in qs: a site is infected when
+    its uniform is below 1 - q.
+
+    The uniforms are the trial's PCG64 stream in lexicographic site order,
+    drawn _DRAW_CHUNK at a time into one buffer and thresholded straight
+    into the grids, so no trial holds all n^d of them.
+    """
     rng = np.random.Generator(np.random.PCG64(trial_seed(config.master_seed, trial_index)))
-    # drawn in lexicographic site order, then reshaped: layout-independent
-    return rng.random(config.n**config.d).reshape((config.n,) * config.d)
+    size = config.n**config.d
+    grids = [np.empty(size, dtype=bool) for _ in qs]
+    buffer = np.empty(min(size, _DRAW_CHUNK))
+    for start in range(0, size, _DRAW_CHUNK):
+        chunk = buffer[: min(_DRAW_CHUNK, size - start)]
+        rng.random(out=chunk)
+        for grid, q in zip(grids, qs):
+            np.less(chunk, 1.0 - q, out=grid[start : start + len(chunk)])
+    return [grid.reshape((config.n,) * config.d) for grid in grids]
 
 
 def sample_initial_grid(config: ExperimentConfig, trial_index: int) -> np.ndarray:
     """Boolean infected grid: each site infected independently with 1 - q."""
-    return _uniforms(config, trial_index) < 1.0 - config.q
+    return _draw_grids(config, trial_index, (config.q,))[0]
 
 
 def _percolation_time(counts: tuple[int, ...]) -> int | None:
@@ -215,8 +237,8 @@ def coupled_monotonicity(
         raise ValueError("need 0 <= q_low <= q_high <= 1")
 
     def one(i: int) -> tuple[int | None, int | None]:
-        u = _uniforms(config, i)
-        return tuple(_percolation_time(torus_run(u < 1.0 - q, config.rule)) for q in (q_low, q_high))
+        grids = _draw_grids(config, i, (q_low, q_high))
+        return tuple(_percolation_time(torus_run(grid, config.rule)) for grid in grids)
 
     return _map_trials(config, one)
 

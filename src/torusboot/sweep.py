@@ -2,9 +2,10 @@
 
 A plane is a uint64 array holding one site's uninfected bit for 64 subsets
 per word, one subset per bit (the bit-slicing of Biham 1997, "A fast new DES
-implementation in software").  The rules become bitwise expressions over
-the neighbours' planes, and step s updates only the sites within distance
-steps - s of a target, the only ones the targets' final states depend on.
+implementation in software").  The rules are bitwise expressions over the
+neighbours' planes, shared with the torus step in dynamics, and step s
+updates only the sites within distance steps - s of a target, the only
+ones the targets' final states depend on.
 
 Infection is monotone, so a subset that leaves a target infected at time 0
 never protects it.  Both feeds therefore fix every target's plane to
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics
-from .dynamics import Modified, Rule
+from .dynamics import Rule, _stays_uninfected
 from .lattice import Site, ball_size, enumerate_ball, l1_norm
 
 _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
@@ -85,24 +86,6 @@ def domain(d: int, t: int, offset: Site | None = None) -> Domain:
     target_index = tuple(index_of[g] for g in targets)
     others = tuple(x for x in range(len(sites)) if x not in target_index)
     return Domain(sites=sites, targets=target_index, cone=cone, others=others)
-
-
-def _stays_uninfected(planes: list[np.ndarray], x: int, row: tuple[int, ...], rule: Rule) -> np.ndarray:
-    """Plane of x after one step, from the planes of x and its neighbours."""
-    if isinstance(rule, Modified):
-        # uninfected while some axis has both neighbours uninfected
-        keep = planes[row[0]] & planes[row[1]]
-        for plus, minus in zip(row[2::2], row[3::2]):
-            keep = keep | (planes[plus] & planes[minus])
-        return planes[x] & keep
-    # uninfected while fewer than r neighbours are infected, that is while at
-    # least 2d - r + 1 are uninfected
-    need = len(row) - rule.r + 1
-    runs: list[np.ndarray] = []  # runs[k]: at least k + 1 neighbours so far are uninfected
-    for nb in row:
-        carries = [planes[nb]] + [run & planes[nb] for run in runs[: need - 1]]
-        runs = [run | carry for run, carry in zip(runs, carries)] + carries[len(runs) :]
-    return planes[x] & runs[need - 1]
 
 
 def evolve_planes(planes: list[np.ndarray], dom: Domain, rule: Rule) -> list[np.ndarray]:

@@ -193,16 +193,16 @@ def test_experiment_T_and_F_histograms_pinned(tmp_path, threads):
 
 
 @pytest.mark.parametrize("overrides,need", [
-    ({"n": 1048576}, "~16,384.0 GiB"),
-    # 16 * 4**600 bytes, too large for a float
-    ({"d": 600, "n": 4, "rule": "modified", "t_horizon": 0, "t_measure": 0}, "at least 2^1204 bytes"),
-    ({"n": 10**400}, "at least 2^2661 bytes"),
+    ({"n": 1048576}, "~4,352.0 GiB"),
+    # over 4803 * 2**1201 bytes, too large for a float: a 4-site row takes a whole word
+    ({"d": 600, "n": 4, "rule": "modified", "t_horizon": 0, "t_measure": 0}, "at least 2^1213 bytes"),
+    ({"n": 10**400}, "at least 2^2659 bytes"),
 ])
 def test_experiment_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatch, overrides, need):
-    def no_draws(config, trial_index):
+    def no_draws(*args):
         raise AssertionError("a refused experiment drew uniforms")
 
-    monkeypatch.setattr(cli.montecarlo, "_uniforms", no_draws)
+    monkeypatch.setattr(cli.montecarlo, "_draw_grids", no_draws)
     cfg = make_config(tmp_path, threads=1, **overrides)
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err

@@ -1,4 +1,4 @@
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from torusboot.dynamics import (
     protected_set,
     torus_run,
     torus_step_grid,
-    torus_step_sparse,
 )
 from torusboot.lattice import enumerate_ball, l1_norm
 
@@ -35,6 +34,34 @@ def protected_sites(d, t, sites, rule):
     return {s for s, keep in zip(enumerate_ball(d, t).sites, row) if keep}
 
 
+def reference_step(infected, rule):
+    """One synchronous update of a boolean torus grid by np.roll, the dense
+    step the packed torus_step_grid replaced.
+
+    np.roll on an n=2 axis folds x+e_i and x-e_i onto the same site, so the
+    summed count honours adjacency multiplicity on degenerate tori.
+    """
+    d = infected.ndim
+    if isinstance(rule, Standard):
+        count = np.zeros(infected.shape, dtype=np.uint8)
+        for ax in range(d):
+            count += np.roll(infected, 1, axis=ax)
+            count += np.roll(infected, -1, axis=ax)
+        return infected | (count >= rule.r)
+    ok = np.ones(infected.shape, dtype=bool)
+    for ax in range(d):
+        ok &= np.roll(infected, 1, axis=ax) | np.roll(infected, -1, axis=ax)
+    return infected | ok
+
+
+def packed_step(infected, rule):
+    """One torus_step_grid step of a boolean grid, through its packed words."""
+    n = infected.shape[-1]
+    words = torus_step_grid(dynamics._pack_uninfected(infected), n, rule)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, count=n, bitorder="little")
+    return ~bits.astype(bool)
+
+
 grids = st.integers(min_value=4, max_value=6).flatmap(
     lambda n: st.lists(
         st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n
@@ -47,7 +74,7 @@ grids = st.integers(min_value=4, max_value=6).flatmap(
 def test_step_is_monotone_in_time(grid):
     grid = np.asarray(grid, dtype=bool)
     for rule in (Standard(2), Modified()):
-        assert np.all(grid <= torus_step_grid(grid, rule))
+        assert np.all(grid <= packed_step(grid, rule))
 
 
 @given(
@@ -65,8 +92,8 @@ def test_step_is_monotone_in_initial_set(pair):
     b = np.asarray(g2, dtype=bool)
     lower, upper = a & b, a
     for rule in (Standard(2), Modified()):
-        s_low = torus_step_grid(lower, rule)
-        s_up = torus_step_grid(upper, rule)
+        s_low = packed_step(lower, rule)
+        s_up = packed_step(upper, rule)
         assert np.all(s_low <= s_up)
 
 
@@ -110,14 +137,14 @@ def test_single_uninfected_site_is_eaten():
 
 
 def reference_torus_run(infected, rule, max_steps=None):
-    """The dense loop torus_run replaced: every step through torus_step_grid,
+    """The dense loop torus_run replaced: every step through reference_step,
     counted with .sum(); the uninfected counts after 0, 1, ... steps."""
     steps = 0
     current = infected
     n_inf = int(current.sum())
     counts = [current.size - n_inf]
     while n_inf < current.size and (max_steps is None or steps < max_steps):
-        nxt = torus_step_grid(current, rule)
+        nxt = reference_step(current, rule)
         n_next = int(nxt.sum())
         if n_next == n_inf:
             break
@@ -132,58 +159,57 @@ def rule_for(d, code):
     return Modified() if code == 0 else Standard(code)
 
 
+def torus_sides(d):
+    """1..12, and at d <= 2 also sides either side of the packed rows' 64-bit word boundaries."""
+    small = st.integers(1, 12)
+    return small | st.sampled_from([63, 64, 65, 127, 128, 129]) if d <= 2 else small
+
+
 torus_cases = st.integers(1, 3).flatmap(
     lambda d: st.tuples(
-        st.just(d), st.integers(1, 12), st.integers(0, 2 * d), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+        st.just(d),
+        torus_sides(d),
+        st.integers(0, 2 * d),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
     )
 )
 
 
-@given(case=torus_cases, max_steps=st.sampled_from([None, 0, 1, 2, 3, 4]),
-       switch=st.sampled_from([dynamics._SPARSE_SWITCH, 1]))
+@given(case=torus_cases, max_steps=st.sampled_from([None, 0, 1, 2, 3, 4]))
 @settings(max_examples=300, deadline=None)
-def test_torus_run_matches_dense_reference(case, max_steps, switch):
-    # switch 1 carries every run on the sparse path after its first step,
-    # n <= 2 included, where x+e_i and x-e_i are one site
+def test_torus_run_matches_dense_reference(case, max_steps):
     d, n, code, q, seed = case
     rule = rule_for(d, code)
     grid = np.random.default_rng(seed).random((n,) * d) < 1.0 - q
     before = grid.copy()
-    with mock.patch.object(dynamics, "_SPARSE_SWITCH", switch):
-        got = torus_run(grid, rule, max_steps)
+    got = torus_run(grid, rule, max_steps)
     assert got == reference_torus_run(grid, rule, max_steps)
     assert all(type(c) is int for c in got)
     np.testing.assert_array_equal(grid, before)  # the caller's grid is never written
 
 
-@given(case=torus_cases)
-@settings(max_examples=300, deadline=None)
-def test_sparse_step_matches_dense_step(case):
-    d, n, code, q, seed = case
-    rule = rule_for(d, code)
-    grid = np.random.default_rng(seed).random((n,) * d) < 1.0 - q
-    flat = grid.reshape(-1).copy()
-    left = torus_step_sparse(flat, grid.shape, np.flatnonzero(~flat), rule)
-    want = torus_step_grid(grid, rule)
-    np.testing.assert_array_equal(flat.reshape(grid.shape), want)
-    np.testing.assert_array_equal(left, np.flatnonzero(~want))
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_torus_run_matches_dense_reference_on_every_small_grid(d, n):
+    # every grid of the torus, under every rule, from the start to the end of its run
+    rules = [rule_for(d, code) for code in range(2 * d + 1)]
+    for bits in itertools.product((False, True), repeat=n**d):
+        grid = np.array(bits, dtype=bool).reshape((n,) * d)
+        for rule in rules:
+            assert torus_run(grid, rule) == reference_torus_run(grid, rule), (bits, rule)
 
 
 @pytest.mark.parametrize("rule", [Standard(2), Modified()], ids=["standard", "modified"])
-def test_torus_run_matches_dense_reference_on_regime_grids(monkeypatch, rule):
+def test_torus_run_matches_dense_reference_on_regime_grids(rule):
     from torusboot import montecarlo, verify
 
     q = verify.poisson_regime_q(512) if isinstance(rule, Standard) else verify.modified_regime_q(512)
     config = montecarlo.ExperimentConfig(
         d=2, n=512, rule=rule, q=q, t_horizon=1, trials=100, master_seed=verify.MASTER_SEED
     )
-    sparse = []
-    step = dynamics.torus_step_sparse
-    monkeypatch.setattr(dynamics, "torus_step_sparse", lambda *a: sparse.append(1) or step(*a))
     for i in range(config.trials):
         grid = montecarlo.sample_initial_grid(config, i)
         assert torus_run(grid, rule) == reference_torus_run(grid, rule)
-    assert sparse  # the regime runs take the sparse path
 
 
 def _pinned_grids():
@@ -208,10 +234,10 @@ def _pinned_grids():
     return out
 
 
-# name: (T or None when stuck, step calls for T,
-#        [(F_t, step calls) for t = 0..5]), recorded from the parent's dense
-# loop, whose every step was a torus_step_grid call; a step call is now
-# torus_step_grid or torus_step_sparse
+# name: (T or None when stuck, torus_step_grid calls for T,
+#        [(F_t, torus_step_grid calls) for t = 0..5]), recorded from the
+# dense loop, whose every step was one torus_step_grid call, as every
+# packed step is
 PINNED_RUNS = {
     "full": (0, 0, [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)]),
     "empty": (None, 1, [(16, 0), (16, 1), (16, 1), (16, 1), (16, 1), (16, 1)]),
@@ -237,33 +263,26 @@ PINNED_RUNS = {
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_torus_run_pinned(monkeypatch, name):
     grid, rule = _pinned_grids()[name]
-    dense, sparse = [], []
-    step, sparse_step = dynamics.torus_step_grid, dynamics.torus_step_sparse
-    monkeypatch.setattr(dynamics, "torus_step_grid", lambda g, r: dense.append(1) or step(g, r))
-    monkeypatch.setattr(dynamics, "torus_step_sparse", lambda *a: sparse.append(1) or sparse_step(*a))
+    steps = []
+    step = dynamics.torus_step_grid
+    monkeypatch.setattr(dynamics, "torus_step_grid", lambda *a: steps.append(1) or step(*a))
     counts = torus_run(grid, rule)
     got_t = len(counts) - 1 if counts[-1] == 0 else None
-    t_calls, t_sparse = len(dense) + len(sparse), len(sparse)
+    t_calls = len(steps)
     got_f = []
     for t in range(6):
-        dense.clear()
-        sparse.clear()
-        got_f.append((torus_run(grid, rule, t)[-1], len(dense) + len(sparse)))
+        steps.clear()
+        got_f.append((torus_run(grid, rule, t)[-1], len(steps)))
     assert (got_t, t_calls, got_f) == PINNED_RUNS[name]
-    # step k is dense when it is the first, or while more than
-    # 1/_SPARSE_SWITCH of the sites are uninfected before it; the run never
-    # switches back, since the count only falls
-    dense_steps = sum(k == 1 or counts[k - 1] * dynamics._SPARSE_SWITCH > grid.size for k in range(1, t_calls + 1))
-    assert t_calls - t_sparse == dense_steps
 
 
 def test_modified_needs_every_axis():
     # two infected neighbours on the same axis do not infect under Modified
     grid = np.zeros((5, 5), dtype=bool)
     grid[1, 2] = grid[3, 2] = True
-    out = torus_step_grid(grid, Modified())
+    out = packed_step(grid, Modified())
     assert not out[2, 2]
-    assert torus_step_grid(grid, Standard(2))[2, 2]
+    assert packed_step(grid, Standard(2))[2, 2]
 
 
 def test_column_protects_origin():
@@ -314,7 +333,7 @@ def test_torus_and_ball_agree_inside_light_cone():
             for i, s in enumerate(ball.sites):
                 grid[s[0] % n, s[1] % n] = not uninf[i]
             for _ in range(t):
-                grid = torus_step_grid(grid, rule)
+                grid = packed_step(grid, rule)
             state = ball_state(d, t, {s for i, s in enumerate(ball.sites) if uninf[i]})
             assert (not grid[0, 0]) == is_origin_protected(state, rule)
 

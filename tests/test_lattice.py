@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from torusboot import montecarlo
-from torusboot.dynamics import Standard, torus_step_grid
+from torusboot.dynamics import Standard
 from torusboot.lattice import ball_size, dependency_offsets, enumerate_ball, l1_norm
+
+from test_dynamics import packed_step
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
@@ -45,8 +47,9 @@ def test_dependency_offsets_excludes_origin():
     assert all(l1_norm(o) <= 3 for o in offs)
 
 
-# The torus is a plain grid array: its adjacency is torus_step_grid's, and
-# its site order is the order sample_initial_grid draws in.
+# The torus is a plain grid array: its adjacency is torus_step_grid's on
+# the grid's packed words, and its site order is the order
+# sample_initial_grid draws in.
 
 
 def test_torus_sites_count_and_order():
@@ -67,13 +70,13 @@ def test_torus_neighbors_degree_and_multiplicity():
     # has count 4, enough for r = 4, and wraps around the edges
     grid = np.zeros((4, 4), dtype=bool)
     grid[1, 0] = grid[3, 0] = grid[0, 1] = grid[0, 3] = True
-    assert torus_step_grid(grid, Standard(4))[0, 0]
+    assert packed_step(grid, Standard(4))[0, 0]
     # n = 2 folds +e_i and -e_i onto one site, which counts twice: one
     # infected corner gives each of its neighbours 2 infected adjacencies
     n2 = np.zeros((2, 2), dtype=bool)
     n2[0, 0] = True
-    assert torus_step_grid(n2, Standard(2)).tolist() == [[True, True], [True, False]]
-    assert torus_step_grid(n2, Standard(3)).tolist() == [[True, False], [False, False]]
+    assert packed_step(n2, Standard(2)).tolist() == [[True, True], [True, False]]
+    assert packed_step(n2, Standard(3)).tolist() == [[True, False], [False, False]]
 
 
 def test_ball_size_symmetry_in_d_t():

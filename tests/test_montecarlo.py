@@ -9,7 +9,7 @@ from torusboot import montecarlo as mc
 from torusboot.dynamics import Modified, Standard
 from torusboot.formulas import poisson_pmf
 
-from test_dynamics import reference_torus_run
+from test_dynamics import packed_step, reference_torus_run
 
 
 def config(**overrides):
@@ -60,6 +60,21 @@ def test_sample_initial_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("d,n", [(2, 8), (1, 2**15), (1, 2**15 + 1), (3, 33), (2, 512)])
+def test_chunked_draw_is_the_whole_stream(d, n):
+    # the grids threshold the trial's whole PCG64 stream, drawn at once, in
+    # lexicographic site order, whether n^d is below, at or past a multiple
+    # of the draw chunk
+    cfg = config(d=d, n=n, q=0.4, t_horizon=0)
+    for i in (0, 5):
+        rng = np.random.Generator(np.random.PCG64(mc.trial_seed(cfg.master_seed, i)))
+        uniforms = rng.random(n**d).reshape((n,) * d)
+        np.testing.assert_array_equal(mc.sample_initial_grid(cfg, i), uniforms < 1.0 - 0.4)
+        low, high = mc._draw_grids(cfg, i, (0.1, 0.4))
+        np.testing.assert_array_equal(low, uniforms < 1.0 - 0.1)
+        np.testing.assert_array_equal(high, uniforms < 1.0 - 0.4)
+
+
 def test_histograms_identical_across_thread_counts():
     for fn in (mc.run_trials_T, lambda cfg: mc.run_trials_F(cfg, 2)):
         base = fn(config(threads=1))
@@ -108,44 +123,48 @@ def test_run_trials_reads_T_and_F_off_one_run(overrides):
 
 
 def test_memory_refusal_comes_before_any_trial(monkeypatch):
-    def no_draws(config, trial_index):
+    def no_draws(*args):
         raise AssertionError("a refused experiment drew uniforms")
 
-    monkeypatch.setattr(mc, "_uniforms", no_draws)
+    monkeypatch.setattr(mc, "_draw_grids", no_draws)
     huge = config(n=2**20, threads=4)
-    assert huge.memory_estimate == mc.TRIAL_BYTES_PER_SITE * 2**40 * 4
+    # two grid bytes and 18 packed planes of 2^37 bytes per trial, and the 256 KiB draw buffer
+    assert huge.memory_estimate == (2 * 2**40 + 18 * 2**37 + 2**18) * 4
     for run in (mc.run_trials_T, lambda cfg: mc.run_trials_F(cfg, 2), lambda cfg: mc.run_trials(cfg, 2),
                 lambda cfg: mc.coupled_monotonicity(cfg, 0.1, 0.2)):
         with pytest.raises(mc.MemoryBudgetExceeded, match="GiB"):
             run(huge)
     # the largest n that runs on 8 threads fits; one more site per axis does not
-    n = math.isqrt(mc.MEMORY_LIMIT_BYTES // (mc.TRIAL_BYTES_PER_SITE * 8))
-    assert config(n=n, threads=8).memory_estimate <= mc.MEMORY_LIMIT_BYTES
-    assert config(n=n + 1, threads=8).memory_estimate > mc.MEMORY_LIMIT_BYTES
+    assert config(n=7936, threads=8).memory_estimate <= mc.MEMORY_LIMIT_BYTES
+    assert config(n=7937, threads=8).memory_estimate > mc.MEMORY_LIMIT_BYTES
     # the regime's n = 512 fits at every thread count the suites use
     assert config(n=512, threads=8).memory_estimate <= mc.MEMORY_LIMIT_BYTES
     # no more trials run at once than there are trials
-    assert config(n=8192, threads=8, trials=1).memory_estimate == mc.TRIAL_BYTES_PER_SITE * 8192**2
-    assert config(n=8192, threads=8, trials=1).memory_estimate <= mc.MEMORY_LIMIT_BYTES
-    assert config(n=8192, threads=8, trials=3).memory_estimate > mc.MEMORY_LIMIT_BYTES
+    one = config(n=16384, threads=1).memory_estimate
+    assert config(n=16384, threads=8, trials=1).memory_estimate == one <= mc.MEMORY_LIMIT_BYTES
+    assert config(n=16384, threads=8, trials=2).memory_estimate == 2 * one > mc.MEMORY_LIMIT_BYTES
     # an estimate too large for a float is still reported
     assert "at least 2^1204 bytes" in str(mc.MemoryBudgetExceeded(16 * 4**600, mc.MEMORY_LIMIT_BYTES))
 
 
 @pytest.mark.parametrize("rule,q", [(Standard(2), 0.0155), (Standard(4), 0.9), (Standard(3), 0.6), (Modified(), 0.5)])
 def test_trial_peak_memory_fits_the_estimate(rule, q):
-    # traced peak of one whole trial (uniforms, grid, dense and sparse steps)
-    # against TRIAL_BYTES_PER_SITE; the last three keep a large frontier
-    # after the first step, so they also cover the dense steps before the
-    # sparse switch
-    cfg = config(n=256, rule=rule, q=q, trials=1)
-    tracemalloc.start()
-    try:
-        mc.run_trials(cfg, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= cfg.memory_estimate
+    # traced peak of one whole trial (draw, grid, packed steps), and of one
+    # coupled trial with its two grids, against the estimate; the last
+    # three rules keep many sites uninfected for several steps.  A first
+    # trial runs untraced: the first draw imports numpy.random, which no
+    # trial holds
+    mc.run_trials(config(trials=1), 1)
+    for d, n in [(2, 256), (2, 512), (3, 64)]:
+        cfg = config(d=d, n=n, rule=rule, q=q, trials=1)
+        for run in (lambda: mc.run_trials(cfg, 1), lambda: mc.coupled_monotonicity(cfg, q / 2, q)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cfg.memory_estimate, (d, n)
 
 
 def test_run_trials_T_point_masses():
@@ -210,15 +229,13 @@ def test_coupled_monotonicity_properties():
 def test_disjoint_balls_uncorrelated():
     # indicators of "uninfected at time t" at offset 2t+1 are independent;
     # empirical correlation should be within 3 standard errors of zero
-    from torusboot.dynamics import torus_step_grid
-
     rng_cfg = config(n=16, q=0.55, trials=4000, t_horizon=1)
     t = 1
     xs, ys = [], []
     for i in range(rng_cfg.trials):
         grid = mc.sample_initial_grid(rng_cfg, i)
         for _ in range(t):
-            grid = torus_step_grid(grid, rng_cfg.rule)
+            grid = packed_step(grid, rng_cfg.rule)
         xs.append(not grid[0, 0])
         ys.append(not grid[3, 0])
     xs = np.array(xs, dtype=float)

@@ -41,11 +41,3 @@ def test_extremal_census_script(tmp_path):
     for row in modified:
         d = int(row[1])
         assert row[4] == str(d) and row[5] == f"canonical={d}", row
-
-
-def test_sparse_crossover_script(tmp_path):
-    proc = run_script("sparse_crossover.py", "--repeats", "1", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    assert header.split()[-1] == "sparse/dense"
-    assert len(rows) == 28 and all(float(row.split()[-1]) > 0 for row in rows)
