@@ -3,7 +3,8 @@
 
 Solves 16 n^2 q^8 = 2 (standard rule, t = 2) or 2 n^2 q^3 = 2 (modified
 rule, t = 1) for q, computes the exact lambda from the rho1 polynomial,
-runs the seeded experiment through the CLI, and prints a summary.
+runs the seeded experiment through the CLI, and prints a summary.  The
+pool size comes from $TORUSBOOT_THREADS (default 1), as for any experiment.
 """
 
 import argparse
@@ -22,7 +23,6 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=512)
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--out", default="poisson_run")
     args = parser.parse_args()
 
@@ -40,7 +40,6 @@ def main() -> int:
         "t_horizon": t,
         "trials": args.trials,
         "master_seed": args.seed,
-        "threads": args.threads,
         "measure": ["T", "F"],
         "t_measure": t,
         "lambda": lam,

@@ -60,7 +60,7 @@ def _timestamp() -> str:
 
 
 def _write_manifest(
-    out_dir: Path, subcommand: str, params: dict, outputs: list[str], started: str
+    out_dir: Path, subcommand: str, params: dict, outputs: list[str], started: str, **extra
 ) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -69,6 +69,7 @@ def _write_manifest(
         "started": started,
         "finished": _timestamp(),
         "outputs": outputs,
+        **extra,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -92,9 +93,13 @@ FORMULAS = {
 
 def cmd_formulas(args: argparse.Namespace) -> int:
     flags, value_of = FORMULAS[args.quantity]
-    for name in flags:
-        if getattr(args, name) is None:
+    read = flags + ("r",) if "rule" in flags else flags  # --r is the threshold of the parsed rule
+    for name in ("d", "t", "n", "r", "q", "alpha"):  # --rule has a default, so it is always given
+        given = getattr(args, name) is not None
+        if name in flags and not given:
             raise SchemaError(f"--{name} is required for quantity {args.quantity!r}")
+        if given and name not in read:
+            raise SchemaError(f"--{name}: quantity {args.quantity!r} does not read it")
     params = {name: getattr(args, name) for name in flags}
     try:
         value = value_of(args)
@@ -113,6 +118,12 @@ def cmd_formulas(args: argparse.Namespace) -> int:
 # extremal
 
 def cmd_extremal(args: argparse.Namespace) -> int:
+    read = {"min": (), "rho1": ("q",), "joint": ("offset", "q"), "near-minimal": ("k",)}[args.action]
+    for name in ("offset", "k", "q"):
+        if getattr(args, name) is not None and name not in read:
+            raise SchemaError(f"--{name}: action {args.action!r} does not read it")
+    if args.budget < 0:
+        raise SchemaError(f"--budget: must be >= 0, got {args.budget}")
     if args.d < 1 or args.t < 0:
         raise SchemaError(f"--d must be >= 1 and --t >= 0, got d={args.d} t={args.t}")
     if ball_size(args.d, args.t) > MAX_BALL_SITES:
@@ -120,6 +131,11 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     if args.q is not None and not 0.0 <= args.q <= 1.0:
         raise SchemaError(f"--q: must lie in [0, 1], got {args.q}")
     rule = _parse_rule(args.rule, args.d, args.r)
+    if args.action == "joint" and args.offset is None:
+        raise SchemaError("--offset is required for action 'joint'")
+    if args.action == "near-minimal" and (args.k is None or args.k < 0):
+        raise SchemaError("--k >= 0 is required for action 'near-minimal'")
+    offset = None if args.offset is None else _parse_offset(args.offset, args.d)
     started = _timestamp()
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -149,9 +165,6 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         print(json.dumps(summary, sort_keys=True))
     elif args.action in ("rho1", "joint"):
         if args.action == "joint":
-            if args.offset is None:
-                raise SchemaError("--offset is required for action 'joint'")
-            offset = _parse_offset(args.offset, args.d)
             poly = extremal.exact_joint(args.d, args.t, offset, rule, budget=args.budget)
         else:
             poly = extremal.exact_rho1(args.d, args.t, rule, budget=args.budget)
@@ -164,8 +177,6 @@ def cmd_extremal(args: argparse.Namespace) -> int:
             outputs.append(name)
         print(json.dumps(doc, sort_keys=True))
     else:  # near-minimal
-        if args.k is None or args.k < 0:
-            raise SchemaError("--k >= 0 is required for action 'near-minimal'")
         g = extremal.count_near_minimal(args.d, args.t, args.k, rule, budget=args.budget)
         print(json.dumps({"d": args.d, "t": args.t, "k": args.k, "rule": args.rule, "count": g},
                          sort_keys=True))
@@ -201,7 +212,6 @@ _CONFIG_FIELDS = {
     "t_horizon": int,
     "trials": int,
     "master_seed": int,
-    "threads": int,
     "measure": list,
     "t_measure": int,
     "lambda": (int, float),
@@ -216,18 +226,14 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
     """
     if not isinstance(doc, dict):
         raise SchemaError("config: expected a JSON object")
-    for key in doc:
+    for key, value in doc.items():
         if key not in _CONFIG_FIELDS:
             raise SchemaError(f"{key}: unknown field")
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_FIELDS[key]):
+            raise SchemaError(f"{key}: wrong type")
     for key in _REQUIRED_FIELDS:
         if key not in doc:
             raise SchemaError(f"{key}: required field missing")
-    for key, expected in _CONFIG_FIELDS.items():
-        if key not in doc:
-            continue
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise SchemaError(f"{key}: wrong type")
     if doc["schema"] != 1:
         raise SchemaError(f"schema: expected 1, got {doc['schema']}")
     rule = _parse_rule(doc["rule"], doc["d"], doc.get("r"))
@@ -246,7 +252,7 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
             t_horizon=doc["t_horizon"],
             trials=doc["trials"],
             master_seed=doc["master_seed"],
-            threads=doc["threads"] if "threads" in doc else _default_threads(),
+            threads=_default_threads(),
         )
     except ValueError as exc:
         raise SchemaError(str(exc))
@@ -315,7 +321,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     outputs.append("report.json")
-    _write_manifest(out_dir, "experiment", doc, outputs, started)
+    _write_manifest(out_dir, "experiment", doc, outputs, started, threads=config.threads)
     return EXIT_OK
 
 
@@ -323,13 +329,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise SchemaError(f"--threads: must be >= 1, got {threads}")
     all_ok = True
     for criterion in verify.SUITES[args.suite]:
         start = time.perf_counter()
-        rep = verify.run_criterion(criterion, threads)
+        rep = criterion()
         print(f"{rep.line()} ({time.perf_counter() - start:.1f} s)")
         for line in rep.details:
             print("   ", line)
@@ -376,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an acceptance suite")
     p_ver.add_argument("suite", choices=sorted(verify.SUITES))
-    p_ver.add_argument("--threads", type=int)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -319,6 +319,8 @@ def exact_joint(
 
 def count_near_minimal(d: int, t: int, k: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of protecting arrangements of (minimum + k) uninfected sites."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     poly = exact_rho1(d, t, rule, budget=budget)
     u = poly.min_size + k
     if u >= len(poly.counts):

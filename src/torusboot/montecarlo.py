@@ -57,7 +57,7 @@ def splitmix64(x: int) -> int:
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """64-bit stream seed for one trial."""
-    return splitmix64(splitmix64(master_seed & _MASK64) ^ trial_index)
+    return splitmix64(splitmix64(master_seed) ^ trial_index)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"n={self.n} < 4*t_horizon+4={4 * self.t_horizon + 4}: dependency balls would wrap"
             )
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 

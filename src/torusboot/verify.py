@@ -6,7 +6,6 @@ is exactly one definition of every tolerance.
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -51,14 +50,11 @@ SIZE_INSTANCES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 def criterion_extremal_sizes() -> CriterionReport:
     """Minimal protecting-set sizes match the closed forms exactly."""
     rep = CriterionReport("extremal sizes: min_protecting_size equals m(t,d) / 2t+1", True)
-    for d, t in SIZE_INSTANCES:
-        got = extremal.min_protecting_size(d, t, Standard(d))
-        want = formulas.leading_term(t, d, Standard(d))[1]
-        _check(rep, got == want, f"standard d={d} t={t}: {got} (expected {want})")
-    for d, t in SIZE_INSTANCES:
-        got = extremal.min_protecting_size(d, t, Modified())
-        want = formulas.leading_term(t, d, Modified())[1]
-        _check(rep, got == want, f"modified d={d} t={t}: {got} (expected {want})")
+    for label, rule_of in (("standard", Standard), ("modified", lambda d: Modified())):
+        for d, t in SIZE_INSTANCES:
+            got = extremal.min_protecting_size(d, t, rule_of(d))
+            want = formulas.leading_term(t, d, rule_of(d))[1]
+            _check(rep, got == want, f"{label} d={d} t={t}: {got} (expected {want})")
     return rep
 
 
@@ -70,9 +66,7 @@ def criterion_extremal_counts() -> CriterionReport:
         n, certs = extremal.count_min_certificates(d, t, Standard(d))
         want = formulas.leading_term(t, d, Standard(d))[0]
         _check(rep, n == want, f"standard d={d} t={t}: {n} certificates (expected {want})")
-        n_other = sum(
-            1 for c in certs if isinstance(extremal.classify(c), extremal.Other)
-        )
+        n_other = sum(isinstance(extremal.classify(c), extremal.Other) for c in certs)
         _check(rep, n_other == 0, f"standard d={d} t={t}: {n_other} unclassified (expected 0)")
     for d, t in instances:
         n, _ = extremal.count_min_certificates(d, t, Modified())
@@ -223,6 +217,9 @@ def criterion_formula_identities() -> CriterionReport:
 POISSON_N = 512
 POISSON_TRIALS_F = 2000
 POISSON_TRIALS_T = 1000
+# The statistical criteria run at 4 threads, one of the counts criterion 10
+# compares, so regime_run's cache serves those runs to both.
+THREADS = 4
 
 
 def poisson_regime_q(n: int = POISSON_N) -> float:
@@ -273,12 +270,12 @@ def regime_run(
     return montecarlo.run_trials_F(config, t) if name == "F" else montecarlo.run_trials_T(config)
 
 
-def criterion_poisson(threads: int = 4) -> CriterionReport:
+def criterion_poisson() -> CriterionReport:
     """TV distance between the empirical F_2 distribution and Po(lambda_exact),
     and the Barbour-Eagleson bound on it from exact rho1/rho2 inputs."""
     rep = CriterionReport("Poisson approximation: TV(empirical F_2, Po(lambda_exact)) <= 0.05", True)
     lam = lambda_exact_standard()
-    dist = regime_run("F", threads)
+    dist = regime_run("F", THREADS)
     tv = montecarlo.tv_report(dist, lam)
     rep.details.append(f"q={poisson_regime_q():.6f} lambda_exact={lam:.6f} TV={tv:.6f}")
     _check(rep, tv <= 0.05, f"TV {tv:.4f} <= 0.05")
@@ -304,14 +301,14 @@ def stein_chen_bound_exact() -> float:
     return formulas.stein_chen_rhs(n, 2, 2, rho1, rho2)
 
 
-def criterion_concentration(threads: int = 4) -> CriterionReport:
+def criterion_concentration() -> CriterionReport:
     """Two-point concentration of T and its Poisson-predicted split."""
     rep = CriterionReport("concentration of T: mass on {t, t+1} and P(T=t) near exp(-lambda)", True)
     for label, name, t, lam in (
         ("standard", "T", 2, lambda_exact_standard()),
         ("modified", "T_mod", 1, lambda_exact_modified()),
     ):
-        dist = regime_run(name, threads)
+        dist = regime_run(name, THREADS)
         freq = (dist.histogram.get(t, 0) + dist.histogram.get(t + 1, 0)) / dist.trials
         p = dist.histogram.get(t, 0) / dist.trials
         _check(rep, freq >= 0.95, f"{label}: P(T in {{{t},{t + 1}}}) = {freq:.4f} >= 0.95")
@@ -323,10 +320,10 @@ def criterion_concentration(threads: int = 4) -> CriterionReport:
     return rep
 
 
-def criterion_coupling(threads: int = 4) -> CriterionReport:
+def criterion_coupling() -> CriterionReport:
     """T(q_low) <= T(q_high) in every coupled pair (Stuck counts as infinity)."""
     rep = CriterionReport("monotone coupling: T(q_low) <= T(q_high) in all 500 pairs", True)
-    pairs = regime_run("pairs", threads)
+    pairs = regime_run("pairs", THREADS)
     inf = float("inf")
     bad = sum(
         1
@@ -352,7 +349,7 @@ def criterion_determinism() -> CriterionReport:
 # ---------------------------------------------------------------------------
 # Suite registry for the CLI
 
-SUITES: dict[str, list[Callable[..., CriterionReport]]] = {
+SUITES: dict[str, list[Callable[[], CriterionReport]]] = {
     "extremal": [
         criterion_extremal_sizes,
         criterion_extremal_counts,
@@ -365,10 +362,3 @@ SUITES: dict[str, list[Callable[..., CriterionReport]]] = {
     "poisson": [criterion_poisson, criterion_determinism],
     "concentration": [criterion_concentration],
 }
-
-
-def run_criterion(criterion: Callable[..., CriterionReport], threads: int = 4) -> CriterionReport:
-    """Run one criterion of a suite; the Monte Carlo ones take `threads`."""
-    if "threads" in inspect.signature(criterion).parameters:
-        return criterion(threads=threads)
-    return criterion()

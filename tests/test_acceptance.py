@@ -2,15 +2,15 @@
 
 Each test prints a single pass/fail line; tolerances live in the verify
 module so the CLI `verify` subcommand checks exactly the same numbers.
-Runtime is about 40 s on a 2-vCPU host, dominated by criterion 10's
-n=512 Monte Carlo runs at 1, 4 and 8 threads.
+The statistical criteria 07-09 run at verify.THREADS = 4 threads, one of
+the counts criterion 10 compares, so the two share those runs.  Runtime is
+about 40 s on a 2-vCPU host, dominated by criterion 10's n=512 Monte Carlo
+runs at 1, 4 and 8 threads.
 """
 
 import pytest
 
 from torusboot import verify
-
-THREADS = 4
 
 
 def check(report):
@@ -43,15 +43,15 @@ def test_criterion_06_formula_identities():
 
 
 def test_criterion_07_poisson_tv():
-    check(verify.criterion_poisson(THREADS))
+    check(verify.criterion_poisson())
 
 
 def test_criterion_08_concentration():
-    check(verify.criterion_concentration(THREADS))
+    check(verify.criterion_concentration())
 
 
 def test_criterion_09_monotone_coupling():
-    check(verify.criterion_coupling(THREADS))
+    check(verify.criterion_coupling())
 
 
 def test_criterion_10_determinism():

@@ -81,9 +81,10 @@ def test_key_lemma_calls_its_traced_functions(monkeypatch):
     assert calls["check_layer_bounds"] == len(verify.KEY_LEMMA_CELLS)
 
 
-def experiment(tmp_path, measure, trials):
+def experiment(monkeypatch, tmp_path, measure, trials):
+    monkeypatch.setenv("TORUSBOOT_THREADS", "2")
     doc = {"schema": 1, "d": 2, "n": 32, "rule": "modified", "q": 0.3, "t_horizon": 1, "trials": trials,
-           "master_seed": 8, "threads": 2, "measure": measure, "t_measure": 1}
+           "master_seed": 8, "measure": measure, "t_measure": 1}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["experiment", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -94,7 +95,7 @@ def test_T_experiment_calls_the_regime_trace_names(monkeypatch, tmp_path):
     calls = Counter()
     spy_on(monkeypatch, calls, [(montecarlo, "run_trials_T"), (montecarlo, "sample_initial_grid"),
                                 (dynamics, "torus_step_grid")])
-    experiment(tmp_path, ["T"], trials=20)
+    experiment(monkeypatch, tmp_path, ["T"], trials=20)
     assert calls["run_trials_T"] == 1
     assert calls["sample_initial_grid"] == 20
     assert calls["torus_step_grid"] >= 20
@@ -104,5 +105,5 @@ def test_T_and_F_experiment_samples_each_grid_once(monkeypatch, tmp_path):
     calls = Counter()
     spy_on(monkeypatch, calls, [(montecarlo, "sample_initial_grid"), (montecarlo, "run_trials_T"),
                                 (montecarlo, "run_trials_F")])
-    experiment(tmp_path, ["T", "F"], trials=20)
+    experiment(monkeypatch, tmp_path, ["T", "F"], trials=20)
     assert calls == {"sample_initial_grid": 20}

@@ -135,10 +135,21 @@ def test_extremal_joint_requires_offset(capsys):
     assert run(["extremal", "joint", "--d", "2", "--t", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["joint", "--d", "2", "--t", "1"],
+    ["joint", "--d", "2", "--t", "1", "--offset", "0,0"],
+    ["near-minimal", "--d", "2", "--t", "1", "--k", "-1"],
+    ["min", "--d", "2", "--t", "1", "--k", "1"],
+])
+def test_extremal_usage_error_writes_no_output(tmp_path, argv):
+    assert run(["extremal", *argv, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def make_config(tmp_path, **overrides):
     doc = {
         "schema": 1, "d": 2, "n": 32, "rule": "standard", "q": 0.15,
-        "t_horizon": 2, "trials": 50, "master_seed": 9, "threads": 2,
+        "t_horizon": 2, "trials": 50, "master_seed": 9,
     }
     doc.update(overrides)
     path = tmp_path / "config.json"
@@ -161,11 +172,12 @@ def test_experiment_outputs_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_experiment_T_and_F_equal_separate_runs(tmp_path, threads):
+def test_experiment_T_and_F_equal_separate_runs(tmp_path, monkeypatch, threads):
     # one run per trial for both measures writes what a T run and an F run write
+    monkeypatch.setenv("TORUSBOOT_THREADS", str(threads))
     outs = {}
     for measure in (["T", "F"], ["T"], ["F"]):
-        cfg = make_config(tmp_path, measure=measure, t_measure=1, threads=threads, q=0.3, r=3)
+        cfg = make_config(tmp_path, measure=measure, t_measure=1, q=0.3, r=3)
         outs[tuple(measure)] = out = tmp_path / "".join(measure)
         assert run(["experiment", str(cfg), "--out", str(out)]) == 0
     both, only_t, only_f = outs[("T", "F")], outs[("T",)], outs[("F",)]
@@ -179,10 +191,11 @@ def test_experiment_T_and_F_equal_separate_runs(tmp_path, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_experiment_T_and_F_histograms_pinned(tmp_path, threads):
+def test_experiment_T_and_F_histograms_pinned(tmp_path, monkeypatch, threads):
     # recorded from the runs before T and F shared a trajectory, when each
     # measure sampled and evolved its own grids; stuck trials included
-    cfg = make_config(tmp_path, measure=["T", "F"], t_measure=2, threads=threads, r=3)
+    monkeypatch.setenv("TORUSBOOT_THREADS", str(threads))
+    cfg = make_config(tmp_path, measure=["T", "F"], t_measure=2, r=3)
     out = tmp_path / "o"
     assert run(["experiment", str(cfg), "--out", str(out)]) == 0
     assert (out / "T_hist.csv").read_text() == "outcome,count\n2,13\n3,18\n4,4\n5,1\n"
@@ -203,7 +216,8 @@ def test_experiment_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatc
         raise AssertionError("a refused experiment drew uniforms")
 
     monkeypatch.setattr(cli.montecarlo, "_draw_grids", no_draws)
-    cfg = make_config(tmp_path, threads=1, **overrides)
+    monkeypatch.setenv("TORUSBOOT_THREADS", "1")
+    cfg = make_config(tmp_path, **overrides)
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"refused: experiment needs {need} at once")
@@ -261,7 +275,7 @@ def test_verify_unknown_suite():
     (["extremal", "near-minimal", "--d", "2", "--t", "1", "--k", "-1"], "--k"),
     (["formulas", "m", "--d", "2", "--t", "-1"], "t and d"),
     (["formulas", "p-alpha", "--d", "2", "--n", "100", "--t", "2", "--alpha", "2"], "alpha"),
-    (["verify", "formulas", "--threads", "0"], "--threads"),
+    (["extremal", "min", "--d", "2", "--t", "1", "--offset", "1,0"], "--offset"),
     (["extremal", "rho1", "--d", "2", "--t", "1", "--q", "2"], "--q"),
     (["formulas", "m", "--d", "0", "--t", "2"], "d >= 1"),
     (["formulas", "ell", "--d", "0", "--t", "2"], "d >= 1"),
@@ -274,6 +288,17 @@ def test_verify_unknown_suite():
     (["formulas", "p-alpha", "--rule", "modified", "--r", "2", "--d", "2", "--t", "1", "--n", "10",
       "--alpha", "0.5"], "r=2"),
     (["extremal", "min", "--rule", "modified", "--r", "2", "--d", "2", "--t", "1"], "r=2"),
+    # a flag the action or quantity does not read is refused, not ignored
+    (["extremal", "rho1", "--d", "2", "--t", "1", "--k", "3"], "--k"),
+    (["extremal", "min", "--d", "2", "--t", "1", "--q", "0.3"], "--q"),
+    (["extremal", "near-minimal", "--d", "2", "--t", "1", "--k", "0", "--q", "0.5"], "--q"),
+    (["extremal", "joint", "--d", "2", "--t", "1", "--offset", "1,0", "--k", "1"], "--k"),
+    (["formulas", "m", "--d", "2", "--t", "2", "--n", "5"], "--n"),
+    (["formulas", "ell", "--d", "2", "--t", "2", "--r", "2"], "--r"),
+    (["formulas", "m-general", "--d", "2", "--t", "2", "--r", "2", "--q", "0.5"], "--q"),
+    (["formulas", "lambda-leading", "--d", "2", "--t", "1", "--n", "10", "--q", "0.1", "--alpha", "0.5"],
+     "--alpha"),
+    (["extremal", "min", "--d", "2", "--t", "1", "--budget", "-5"], "--budget"),
 ])
 def test_bad_input_is_usage_error(argv, field, capsys):
     assert run(argv) == 2
@@ -296,21 +321,38 @@ def test_experiment_bad_measurement_plan_rejected(tmp_path, capsys, overrides, f
     assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 
-def test_experiment_threads_field_overrides_the_environment(tmp_path, monkeypatch, capsys):
-    # the environment is read only when the config has no threads field
+def test_experiment_outputs_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, capsys):
+    # $TORUSBOOT_THREADS is the one thread setting: the manifest records it,
+    # the byte-compared outputs never see it
+    cfg = make_config(tmp_path, measure=["T", "F"], t_measure=2)
+    outs = {}
+    for threads in (1, 4, 8):
+        monkeypatch.setenv("TORUSBOOT_THREADS", str(threads))
+        out = tmp_path / f"t{threads}"
+        assert run(["experiment", str(cfg), "--out", str(out)]) == 0
+        outs[threads] = {name: (out / name).read_bytes() for name in ("T_hist.csv", "F_hist.csv", "report.json")}
+        assert json.loads((out / "manifest.json").read_text())["threads"] == threads
+        assert b"threads" not in outs[threads]["report.json"]
+    assert outs[1] == outs[4] == outs[8]
     monkeypatch.setenv("TORUSBOOT_THREADS", "abc")
-    cfg = make_config(tmp_path, threads=2)
-    assert run(["experiment", str(cfg), "--out", str(tmp_path / "with")]) == 0
-    doc = json.loads(cfg.read_text())
-    del doc["threads"]
-    cfg.write_text(json.dumps(doc))
-    assert run(["experiment", str(cfg), "--out", str(tmp_path / "without")]) == 2
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "bad")]) == 2
     assert "TORUSBOOT_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "without").exists()
-    monkeypatch.setenv("TORUSBOOT_THREADS", "2")
-    assert run(["experiment", str(cfg), "--out", str(tmp_path / "from_env")]) == 0
-    for name in ("T_hist.csv", "F_hist.csv"):
-        assert (tmp_path / "from_env" / name).read_bytes() == (tmp_path / "with" / name).read_bytes()
+    assert not (tmp_path / "bad").exists()
+
+
+def test_experiment_threads_field_is_refused(tmp_path, capsys):
+    cfg = make_config(tmp_path, threads=2)
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: threads: unknown field\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_takes_no_threads_flag(capsys):
+    # the statistical criteria fix their own thread count (verify.THREADS)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "formulas", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides,field", [
@@ -320,6 +362,10 @@ def test_experiment_threads_field_overrides_the_environment(tmp_path, monkeypatc
     ({"t_horizon": -3, "n": 3, "t_measure": 0}, "t_horizon"),
     ({"d": 0}, "d must"),
     ({"d": -1}, "d must"),
+    # trial_seed reads the seed mod 2^64: these would run the streams of
+    # 2^64 - 1 and of 7 while report.json recorded their own values
+    ({"master_seed": -1}, "master_seed must lie in [0, 2^64)"),
+    ({"master_seed": 2**64 + 7}, "master_seed must lie in [0, 2^64)"),
 ])
 def test_experiment_bad_dimension_or_horizon_rejected(tmp_path, capsys, overrides, field):
     cfg = make_config(tmp_path, **overrides)

@@ -575,6 +575,10 @@ def test_count_near_minimal():
     assert count_near_minimal(2, 1, 0) == 4
     assert count_near_minimal(2, 1, 1) == 1
     assert count_near_minimal(2, 1, 2) == 0
+    # (2,1) counts are (0, 0, 0, 0, 4, 1): a negative k must not index from the top
+    for k in (-1, -5, -6):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            count_near_minimal(2, 1, k)
 
 
 def test_layer_bounds_column_minimal():

@@ -35,6 +35,11 @@ def test_config_validation():
             config(d=d, rule=Modified())
     with pytest.raises(ValueError, match="t_horizon must be >= 0"):
         config(t_horizon=-1)
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match="master_seed"):
+            config(master_seed=seed)
+    for seed in (0, 2**64 - 1):
+        assert config(master_seed=seed).master_seed == seed
 
 
 def test_trial_seed_is_stable_and_distinct():

@@ -26,7 +26,7 @@ def test_poisson_regime_script(tmp_path):
     for model, (q, lam) in regimes.items():
         out = tmp_path / model
         proc = run_script("poisson_regime.py", "--model", model, "--n", "16", "--trials", "20",
-                          "--threads", "1", "--out", str(out), cwd=tmp_path)
+                          "--out", str(out), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(f"model={model} n=16 q={q:.6f} lambda_exact={lam:.6f}\n")
         assert (out / "report.json").is_file() and (out / "F_hist.csv").is_file()

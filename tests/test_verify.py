@@ -165,21 +165,6 @@ def test_key_lemma_check_counts_are_pinned():
         assert f"ok: d={d} t={t}: 0 lemma violations in {n} checks" in report.details
 
 
-def test_run_criterion_passes_threads_only_where_taken():
-    seen = []
-
-    def threaded(threads=4):
-        seen.append(threads)
-        return verify.CriterionReport("threaded", True)
-
-    def plain():
-        return verify.CriterionReport("plain", True)
-
-    assert verify.run_criterion(threaded, 3).name == "threaded"
-    assert verify.run_criterion(plain, 3).name == "plain"
-    assert seen == [3]
-
-
 @pytest.fixture
 def runner_calls(monkeypatch):
     """Counting stubs for the three Monte Carlo runners, each echoing the
@@ -211,8 +196,19 @@ def runner_calls(monkeypatch):
     (verify.criterion_poisson, ["run_trials_F"]),
 ])
 def test_criterion_runs_only_what_it_reads(runner_calls, criterion, want):
-    criterion(threads=3)
-    assert runner_calls == [(runner, 3) for runner in want]
+    criterion()
+    assert runner_calls == [(runner, verify.THREADS) for runner in want]
+
+
+def test_statistical_criteria_share_their_runs_with_the_determinism_check(runner_calls):
+    # criterion 10 compares 1, 4 and 8 threads; the other three read the
+    # 4-thread runs, so a whole poisson/concentration/dynamics pass runs
+    # each (name, threads) pair once
+    for criterion in (verify.criterion_poisson, verify.criterion_concentration, verify.criterion_coupling):
+        criterion()
+    assert verify.criterion_determinism().passed
+    assert len(runner_calls) == 4 * 3  # F, T, T_mod and pairs at each thread count
+    assert {threads for _, threads in runner_calls} == {1, verify.THREADS, 8}
 
 
 def test_regime_run_cache_is_keyed_by_name_and_threads(runner_calls):
