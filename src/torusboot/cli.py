@@ -37,8 +37,8 @@ def _default_threads() -> int:
         value = int(raw)
     except ValueError:
         raise SchemaError(f"TORUSBOOT_THREADS: expected an integer, got {raw!r}")
-    if value < 1:
-        raise SchemaError(f"TORUSBOOT_THREADS: must be >= 1, got {value}")
+    if not 1 <= value <= montecarlo.MAX_THREADS:
+        raise SchemaError(f"TORUSBOOT_THREADS: must lie in [1, {montecarlo.MAX_THREADS}], got {value}")
     return value
 
 

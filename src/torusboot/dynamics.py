@@ -12,13 +12,12 @@ within l1 distance s of x.  protected_set maps a batch of rows to their
 protected sets in t kernel calls.
 
 Each rule is one bitwise expression over the uninfected planes of a site
-and its 2d neighbours (_stays_uninfected).  The torus step applies it to
-whole packed rows, and the exhaustive sweeps of the extremal module to 64
-subsets per word in the bit-sliced light-cone kernel of the sweep module.
-The boolean references stay: tests/test_dynamics.py holds torus_run to an
-np.roll step of the boolean grid, and tests/test_extremal.py holds the
-sweep kernel bit for bit to evolve_finite_batch here, the finite-domain
-stepper written once, vectorised over a batch of boolean initial states.
+and its 2d neighbours (_stays_uninfected), its only copy in the package.
+The torus step applies it to whole packed rows, evolve_finite_batch to every
+site of a domain at once with one batch row per lane, and the sweep module
+to 64 subsets per word.  tests/test_dynamics.py holds torus_run to an
+np.roll step of the boolean grid, and the ball kernels are held bit for bit
+to the boolean finite-domain rule of tests/reference.py.
 """
 
 from __future__ import annotations
@@ -61,11 +60,12 @@ def check_rule(rule: Rule, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The bitwise rule, shared by the torus and the bit-sliced sweeps
+# The bitwise rule, shared by the torus, the ball kernel and the sweeps
 
 
-def _stays_uninfected(planes: list[np.ndarray], x: int, row: tuple[int, ...], rule: Rule) -> np.ndarray:
-    """Plane of x after one step, from the planes of x and its neighbours."""
+def _stays_uninfected(planes, x, row, rule: Rule) -> np.ndarray:
+    """Plane of x after one step, from the planes of x and its neighbours in
+    row: list indices, or a slice and index arrays into a 2-D array of planes."""
     if isinstance(rule, Modified):
         # uninfected while some axis has both neighbours uninfected
         keep = planes[row[0]] & planes[row[1]]
@@ -77,7 +77,8 @@ def _stays_uninfected(planes: list[np.ndarray], x: int, row: tuple[int, ...], ru
     need = len(row) - rule.r + 1
     runs: list[np.ndarray] = []  # runs[k]: at least k + 1 neighbours so far are uninfected
     for nb in row:
-        carries = [planes[nb]] + [run & planes[nb] for run in runs[: need - 1]]
+        plane = planes[nb]  # one gather per neighbour when nb is an index array
+        carries = [plane] + [run & plane for run in runs[: need - 1]]
         runs = [run | carry for run, carry in zip(runs, carries)] + carries[len(runs) :]
     return planes[x] & runs[need - 1]
 
@@ -101,6 +102,11 @@ def _pack_uninfected(infected: np.ndarray) -> np.ndarray:
     if n % 64:
         packed[..., -1] &= (1 << n % 64) - 1
     return packed
+
+
+def lane_bits(plane: np.ndarray) -> np.ndarray:
+    """(words,) uint64 -> (words, 64) bool, lane p of word w at [w, p]."""
+    return np.unpackbits(plane.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little").astype(bool)
 
 
 def _roll(words: np.ndarray, shift: int, axis: int) -> np.ndarray:
@@ -203,27 +209,18 @@ def evolve_finite_batch(
 
     uninfected is (batch, n_sites) boolean; the exterior (sentinel column)
     is infected at every step.  Returns the uninfected bits after `steps`.
+    Row j is lane j of one plane per site; lanes past the batch and the
+    sentinel plane are infected (0).  A step is one _stays_uninfected call.
     """
     n_sites, two_d = nbr.shape
-    d = two_d // 2
-    check_rule(rule, d)
+    check_rule(rule, two_d // 2)
     batch = uninfected.shape[0]
-    current = uninfected.astype(bool, copy=True)
-    padded = np.zeros((batch, n_sites + 1), dtype=bool)
+    planes = np.zeros((n_sites + 1, -(-batch // 64)), dtype="<u8")
+    planes.view(np.uint8)[:n_sites, : -(-batch // 8)] = np.packbits(uninfected.T, axis=1, bitorder="little")
+    rows = tuple(nbr.T)
     for _ in range(steps):
-        padded[:, :n_sites] = current
-        padded[:, n_sites] = False
-        if isinstance(rule, Standard):
-            count = np.zeros((batch, n_sites), dtype=np.uint8)
-            for col in range(two_d):
-                count += ~padded[:, nbr[:, col]]
-            current &= count < rule.r
-        else:
-            all_axes = np.ones((batch, n_sites), dtype=bool)
-            for i in range(d):
-                all_axes &= ~padded[:, nbr[:, 2 * i]] | ~padded[:, nbr[:, 2 * i + 1]]
-            current &= ~all_axes
-    return current
+        planes[:n_sites] = _stays_uninfected(planes, slice(0, n_sites), rows, rule)
+    return np.unpackbits(planes[:n_sites].view(np.uint8), axis=1, count=batch, bitorder="little").T.view(bool)
 
 
 class BallState(NamedTuple):

@@ -3,8 +3,8 @@
 Everything here is certified by brute force: every subset of the ball (or
 of a union of two balls) is evolved, 64 subsets per machine word, by the
 bit-sliced light-cone kernel in the sweep module.  tests/test_extremal.py
-checks that kernel bit for bit against dynamics.evolve_finite_batch, the
-boolean reference, on random states for both rules and every threshold.
+checks that kernel bit for bit against the boolean finite-domain reference
+of tests/reference.py, on random states for both rules and every threshold.
 A work budget guards against accidental explosion; exceeding it raises
 WorkBudgetExceeded rather than running forever.
 """

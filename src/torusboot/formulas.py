@@ -16,17 +16,18 @@ from .dynamics import Rule, Standard, check_rule
 
 def ell(t: int, d: int) -> int:
     """Minimum number of protected sites on the layer of radius t: sum of
-    binom(d, i) for i = 0..t."""
+    binom(d, i) for i = 0..t, whose terms past i = d are 0."""
     if t < 0 or d < 1:
         raise ValueError(f"t and d must satisfy t >= 0 and d >= 1, got t={t}, d={d}")
-    return sum(math.comb(d, i) for i in range(0, t + 1))
+    return sum(math.comb(d, i) for i in range(min(t, d) + 1))
 
 
 def m(t: int, d: int) -> int:
-    """Size of the centred column in the radius-t ball: sum of ell(r, d)."""
+    """Size of the centred column in the radius-t ball: the sum of ell(r, d)
+    over r = 0..t, in which binom(d, i) appears for r = i..t."""
     if t < 0 or d < 1:
         raise ValueError(f"t and d must satisfy t >= 0 and d >= 1, got t={t}, d={d}")
-    return sum(ell(r, d) for r in range(0, t + 1))
+    return sum(math.comb(d, i) * (t - i + 1) for i in range(min(t, d) + 1))
 
 
 def m_general(t: int, d: int, r: int) -> int:

@@ -27,6 +27,8 @@ _MASK64 = (1 << 64) - 1
 _DRAW_CHUNK = 1 << 15
 # Experiments whose concurrent trials would hold more than this are refused.
 MEMORY_LIMIT_BYTES = 2 * 2**30
+# The largest worker pool: the pool starts one OS thread per worker.
+MAX_THREADS = 256
 
 
 class MemoryBudgetExceeded(Exception):
@@ -102,8 +104,8 @@ class ExperimentConfig:
             )
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must lie in [1, {MAX_THREADS}], got {self.threads}")
 
 
 @dataclass

@@ -14,9 +14,9 @@ mask_sweep runs all 2^(n-k) subsets of the n - k non-target sites of a
 domain with k targets, and size_layer_hits the subsets of one size, one
 word per run of 64 last elements after each shorter prefix, written
 straight into the planes.  tests/test_extremal.py holds evolve_planes bit
-for bit to dynamics.evolve_finite_batch, the boolean reference, both feeds
-to all 2^n subsets run through it, and every lane of size_layer_hits to
-itertools.combinations run through it.  The extremal oracles import this
+for bit to the boolean finite-domain reference of tests/reference.py, both
+feeds to all 2^n subsets run through it, and every lane of size_layer_hits
+to itertools.combinations run through it.  The extremal oracles import this
 module on their first sweep, so the package's other users never load it.
 """
 
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics
-from .dynamics import Rule, _stays_uninfected
+from .dynamics import Rule, _stays_uninfected, lane_bits
 from .lattice import Site, ball_size, enumerate_ball, l1_norm
 
 _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
@@ -107,11 +107,6 @@ def protects(planes: list[np.ndarray], dom: Domain, rule: Rule) -> np.ndarray:
     for plane in rest:
         first = first & plane
     return first
-
-
-def lane_bits(plane: np.ndarray) -> np.ndarray:
-    """(words,) uint64 -> (words, 64) bool, lane p of word w at [w, p]."""
-    return np.unpackbits(plane.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little").astype(bool)
 
 
 @lru_cache(maxsize=1)

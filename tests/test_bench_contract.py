@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusboot import cli, dynamics, extremal, montecarlo, verify
+from torusboot import cli, dynamics, extremal, lattice, montecarlo, verify
 from torusboot.dynamics import Modified, Standard
 from torusboot.lattice import enumerate_ball
 
@@ -59,12 +59,21 @@ def test_regime_setup_calls_run():
         assert isinstance(lam, float) and 1.0 < lam < 3.0
 
 
-def spy_on(monkeypatch, calls, targets):
-    """Count calls to each (module, name) in `calls`, as the tracer's wrappers would see them."""
+def spy_on(monkeypatch, calls, targets, edges=None):
+    """Count calls to each (module, name) in `calls`, as the tracer's wrappers
+    would see them; with `edges`, also append (open, name, args, kwargs) for
+    each call, open being the names of the spied calls it runs inside."""
+    stack = []
     for module, name in targets:
         def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            if edges is not None:
+                edges.append((tuple(stack), _name, args, kwargs))
+            stack.append(_name)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                stack.pop()
 
         monkeypatch.setattr(module, name, spy)
 
@@ -72,13 +81,43 @@ def spy_on(monkeypatch, calls, targets):
 def test_key_lemma_calls_its_traced_functions(monkeypatch):
     # the lemma workload's spans come from these calls; a rewrite that
     # stops making one of them shows only as `absent:` in a traced run
-    calls = Counter()
+    calls, edges = Counter(), []
     spy_on(monkeypatch, calls, [(dynamics, "protected_set"), (extremal, "sample_protected_configs"),
-                                (extremal, "check_layer_bounds")])
+                                (extremal, "check_layer_bounds"), (dynamics, "evolve_finite_batch")], edges)
     assert verify.criterion_key_lemma(total=60).passed
-    assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds"}
+    assert set(calls) == {"protected_set", "sample_protected_configs", "check_layer_bounds", "evolve_finite_batch"}
     # the layer bounds take each cell's whole batch at once, not one row per call
     assert calls["check_layer_bounds"] == len(verify.KEY_LEMMA_CELLS)
+    # the sampler's protection test is one t-step kernel call on B_t, straight
+    # under the sampler: the tracer reads its accept_ratio off those calls
+    cells = set()
+    for open_calls, name, args, kwargs in edges:
+        if name == "evolve_finite_batch" and open_calls[-1] == "sample_protected_configs":
+            nbr, t = args[1], kwargs["steps"]
+            assert nbr.shape[0] == lattice.ball_size(nbr.shape[1] // 2, t)
+            cells.add((nbr.shape[1] // 2, t))
+    assert cells == set(verify.KEY_LEMMA_CELLS)
+
+
+def test_oracle_calls_its_traced_functions(monkeypatch):
+    # the oracle workload's questions, each certificate of the standard (2,2)
+    # question classified; its only route into the ball kernel's span is
+    # classify -> protected_set -> evolve_finite_batch, t = 2 one-step calls
+    calls, edges = Counter(), []
+    spy_on(monkeypatch, calls, [(dynamics, "evolve_finite_batch"), (dynamics, "protected_set"),
+                                (extremal, "classify"), (extremal, "min_protecting_size"),
+                                (extremal, "count_min_certificates"), (extremal, "exact_rho1"),
+                                (extremal, "exact_joint")], edges)
+    assert extremal.count_min_certificates(4, 2, Modified())[0] == 4
+    assert extremal.exact_joint(2, 2, (2, 1)).min_size > 0
+    _, certs = extremal.count_min_certificates(2, 2, Standard(2))
+    assert all(extremal.classification_tag(extremal.classify(c)) != "other" for c in certs)
+    assert extremal.exact_rho1(2, 2).counts[8] == 16
+    # the oracle asks no min_protecting_size question
+    assert calls == {"count_min_certificates": 2, "exact_joint": 1, "exact_rho1": 1, "classify": 16,
+                     "protected_set": 16, "evolve_finite_batch": 32}
+    kernel_calls = [open_calls for open_calls, name, _, _ in edges if name == "evolve_finite_batch"]
+    assert all(open_calls == ("classify", "protected_set") for open_calls in kernel_calls)
 
 
 def experiment(monkeypatch, tmp_path, measure, trials):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from torusboot import cli, extremal
+from torusboot import cli, extremal, montecarlo
 
 
 def run(argv):
@@ -338,6 +338,22 @@ def test_experiment_outputs_do_not_depend_on_the_thread_count(tmp_path, monkeypa
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "bad")]) == 2
     assert "TORUSBOOT_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+def test_experiment_refuses_more_threads_than_the_cap(tmp_path, monkeypatch, capsys):
+    # the pool would start one OS thread per trial up to its size; the
+    # refusal comes before any pool is made (none may be, in this test)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was constructed")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    cfg = make_config(tmp_path, n=8, t_horizon=1, trials=1000)
+    monkeypatch.setenv("TORUSBOOT_THREADS", str(montecarlo.MAX_THREADS + 1))
+    assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: TORUSBOOT_THREADS: must lie in [1, 256], got 257\n"
+    assert not (tmp_path / "o").exists()
+    monkeypatch.setenv("TORUSBOOT_THREADS", "256")
+    assert cli._default_threads() == montecarlo.MAX_THREADS == 256
 
 
 def test_experiment_threads_field_is_refused(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import column_sites, evolve_boolean, protected_row
 
 from torusboot import dynamics
 from torusboot.dynamics import (
@@ -17,21 +18,6 @@ from torusboot.dynamics import (
     torus_step_grid,
 )
 from torusboot.lattice import enumerate_ball, l1_norm
-
-
-def column_sites(d, t):
-    """The standard extremal protecting set: a column along the last axis."""
-    return {
-        s
-        for s in enumerate_ball(d, t).sites
-        if all(c in (0, 1) for c in s[: d - 1])
-    }
-
-
-def protected_sites(d, t, sites, rule):
-    """The protected set of one ball state, as a set of sites."""
-    row = protected_set(ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, rule)[0]
-    return {s for s, keep in zip(enumerate_ball(d, t).sites, row) if keep}
 
 
 def reference_step(infected, rule):
@@ -293,13 +279,14 @@ def test_column_protects_origin():
 
 def test_protected_set_of_column_is_column():
     d, t = 2, 2
-    assert protected_sites(d, t, column_sites(d, t), Standard(d)) == column_sites(d, t)
+    protected = protected_row(d, t, column_sites(d, t), Standard(d))
+    assert set(itertools.compress(enumerate_ball(d, t).sites, protected)) == column_sites(d, t)
 
 
 def test_fully_uninfected_ball_protects_everything():
     d, t = 2, 2
     sites = set(enumerate_ball(d, t).sites)
-    assert protected_sites(d, t, sites, Standard(d)) == sites
+    assert protected_row(d, t, sites, Standard(d)).all()
 
 
 def test_too_small_sets_do_not_protect():
@@ -342,7 +329,7 @@ def test_protected_set_respects_light_cone_times():
     # a sphere site is protected iff initially uninfected
     d, t = 2, 2
     sites = column_sites(d, t)
-    for s in protected_sites(d, t, sites, Standard(d)):
+    for s in itertools.compress(enumerate_ball(d, t).sites, protected_row(d, t, sites, Standard(d))):
         if l1_norm(s) == t:
             assert s in sites
 
@@ -354,7 +341,7 @@ def reference_protected_set(row, d, t, rule):
     nbr = neighbor_matrix(sites)
     out = np.zeros(len(sites), dtype=bool)
     for s in range(t + 1):
-        after = evolve_finite_batch(row[np.newaxis, :], nbr, rule, steps=s)[0]
+        after = evolve_boolean(row[np.newaxis, :], nbr, rule, steps=s)[0]
         for i, x in enumerate(sites):
             if l1_norm(x) == t - s:
                 out[i] = after[i]
@@ -377,3 +364,43 @@ def test_batched_protected_set_matches_per_row_reference(d, rule, t, rows, q, se
     got = protected_set(uninf, d, t, rule)
     want = np.stack([reference_protected_set(row, d, t, rule) for row in uninf])
     np.testing.assert_array_equal(got, want)
+
+
+# the balls, rules, batch sizes and step counts of the packed kernel's grid:
+# 41 (ball, rule) cells x 12 batch sizes x 3 step counts = 1,476 cases
+KERNEL_BALLS = [(1, 3), (2, 1), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2)]
+KERNEL_BATCHES = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 800)
+
+
+@pytest.mark.parametrize("d,t", KERNEL_BALLS)
+def test_evolve_finite_batch_matches_boolean_reference(d, t):
+    nbr = neighbor_matrix(enumerate_ball(d, t).sites)
+    rng = np.random.default_rng(100 * d + t)
+    for batch in KERNEL_BATCHES:
+        uninf = rng.random((batch, nbr.shape[0])) < rng.random((batch, 1))  # one density per row
+        before = uninf.copy()
+        for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]:
+            for steps in (0, 1, t):
+                got = evolve_finite_batch(uninf, nbr, rule, steps)
+                assert got.shape == uninf.shape and got.dtype == bool
+                np.testing.assert_array_equal(got, evolve_boolean(uninf, nbr, rule, steps), err_msg=f"{batch} {rule} {steps}")
+        np.testing.assert_array_equal(uninf, before)  # the caller's rows are never written
+
+
+@pytest.mark.parametrize("batch", (1, 63, 65, 129))
+def test_evolve_finite_batch_packs_row_j_into_lane_j(monkeypatch, batch):
+    # each plane the kernel steps holds site x's column in lanes 0..batch-1
+    # and 0 (infected) past them, and the sentinel plane is 0; no output
+    # reads the lanes past the batch, so this reads the planes themselves
+    d, t = 2, 2
+    nbr = neighbor_matrix(enumerate_ball(d, t).sites)
+    uninf = np.random.default_rng(batch).random((batch, nbr.shape[0])) < 0.7
+    seen = []
+    step = dynamics._stays_uninfected
+    monkeypatch.setattr(dynamics, "_stays_uninfected", lambda planes, *a: seen.append(planes.copy()) or step(planes, *a))
+    evolve_finite_batch(uninf, nbr, Standard(2), steps=1)
+    (planes,) = seen
+    lanes = np.stack([dynamics.lane_bits(plane).ravel() for plane in planes], axis=1)
+    assert lanes.shape == (-(-batch // 64) * 64, nbr.shape[0] + 1)
+    np.testing.assert_array_equal(lanes[:batch, :-1], uninf)
+    assert not lanes[batch:].any() and not lanes[:, -1].any()

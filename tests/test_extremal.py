@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import column_sites, evolve_boolean, protected_row
 
 from torusboot import dynamics, extremal, sweep
 from torusboot.dynamics import Modified, Standard, ball_state, is_origin_protected
@@ -29,17 +30,6 @@ from torusboot.extremal import (
 )
 from torusboot.formulas import ell, leading_term, m
 from torusboot.lattice import dependency_offsets, enumerate_ball, l1_norm
-
-
-def column_sites(d, t):
-    return {
-        s for s in enumerate_ball(d, t).sites if all(c in (0, 1) for c in s[: d - 1])
-    }
-
-
-def protected_row(d, t, sites, rule):
-    """One row of the batched protected set, for the state with `sites` uninfected."""
-    return dynamics.protected_set(ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, rule)[0]
 
 
 def test_min_size_small_cases():
@@ -129,7 +119,7 @@ def spy_on_feeds(monkeypatch):
     protects = sweep.protects
 
     def spy_protects(planes, dom, rule):
-        lanes = np.stack([sweep.lane_bits(plane).ravel() for plane in planes], axis=1)
+        lanes = np.stack([dynamics.lane_bits(plane).ravel() for plane in planes], axis=1)
         holding = lanes[lanes[:, list(dom.targets)].all(axis=1)]
         subsets.update(map(bytes, np.packbits(holding, axis=1)))
         held.append(len(holding))
@@ -227,7 +217,7 @@ def reference_layers(dom, t, rule):
     from all 2^n subsets of the domain run through the boolean reference."""
     n = len(dom.sites)
     uninf = np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1 == 1
-    final = dynamics.evolve_finite_batch(uninf, dynamics.neighbor_matrix(dom.sites), rule, steps=t)
+    final = evolve_boolean(uninf, dynamics.neighbor_matrix(dom.sites), rule, steps=t)
     masks = np.flatnonzero(final[:, list(dom.targets)].all(axis=1)).tolist()
     hits = sorted(tuple(j for j in range(n) if m >> j & 1) for m in masks)
     return [[h for h in hits if len(h) == u] for u in range(n + 1)]
@@ -300,8 +290,8 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
 
     def spy_protects(planes, dom, rule):
         good = protects(planes, dom, rule)
-        lanes = np.stack([sweep.lane_bits(plane).ravel() for plane in planes], axis=1)
-        bits = sweep.lane_bits(good).ravel()
+        lanes = np.stack([dynamics.lane_bits(plane).ravel() for plane in planes], axis=1)
+        bits = dynamics.lane_bits(good).ravel()
         holding = lanes[:, list(dom.targets)].all(axis=1)
         assert not bits[~holding].any()
         evolved.append((lanes[holding], bits[holding]))
@@ -315,7 +305,7 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
             uninf = np.zeros((len(subsets), n), dtype=bool)
             for row, subset in zip(uninf, subsets):
                 row[subset] = True
-            want = dynamics.evolve_finite_batch(uninf, nbr, rule, steps=t)[:, list(dom.targets)].all(axis=1)
+            want = evolve_boolean(uninf, nbr, rule, steps=t)[:, list(dom.targets)].all(axis=1)
             hits = sweep.size_layer_hits(dom, rule, u)
             lanes = np.concatenate([held for held, _ in evolved] + [np.zeros((0, n), dtype=bool)])
             bits = np.concatenate([good for _, good in evolved] + [np.zeros(0, dtype=bool)])
@@ -511,9 +501,9 @@ def test_packed_kernel_matches_boolean_reference(case):
     dom = sweep.domain(d, t, offset)
     uninf = np.random.default_rng(seed).random((rows, len(dom.sites))) < q
     nbr = dynamics.neighbor_matrix(dom.sites)
-    want = dynamics.evolve_finite_batch(uninf, nbr, rule, steps=t)[:, list(dom.targets)]
+    want = evolve_boolean(uninf, nbr, rule, steps=t)[:, list(dom.targets)]
     planes = sweep.evolve_planes(pack_sites(uninf.T), dom, rule)
-    got = np.stack([sweep.lane_bits(p).ravel()[:rows] for p in planes], axis=1)
+    got = np.stack([dynamics.lane_bits(p).ravel()[:rows] for p in planes], axis=1)
     np.testing.assert_array_equal(got, want)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -30,6 +31,33 @@ def test_ell_m_monotone(t, d):
 @given(st.integers(min_value=1, max_value=20))
 def test_m_two_dimensional_closed_form(t):
     assert formulas.m(t, 2) == 4 * t
+
+
+def loop_ell(t, d):
+    """ell as a sum over every i <= t, C(d, i) being 0 past d."""
+    return sum(math.comb(d, i) for i in range(t + 1))
+
+
+def loop_m(t, d):
+    """m as the sum of loop_ell(r, d) over r = 0..t: O(t^2) terms."""
+    return sum(loop_ell(r, d) for r in range(t + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 12))
+def test_ell_and_m_equal_their_defining_sums(d):
+    for t in range(15):
+        assert formulas.ell(t, d) == loop_ell(t, d), (t, d)
+        assert formulas.m(t, d) == loop_m(t, d), (t, d)
+
+
+def test_m_at_a_huge_horizon(capsys):
+    # linear in min(t, d): one term per i <= d, whatever t is
+    from torusboot import cli
+
+    assert formulas.m(10**9, 2) == 4 * 10**9
+    assert formulas.ell(10**9, 3) == 8
+    assert cli.main(["formulas", "m", "--d", "2", "--t", str(10**9)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 4 * 10**9
 
 
 @given(st.integers(min_value=2, max_value=8))

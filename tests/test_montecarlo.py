@@ -42,6 +42,14 @@ def test_config_validation():
         assert config(master_seed=seed).master_seed == seed
 
 
+def test_config_refuses_more_threads_than_the_cap():
+    # constructing a config starts no thread
+    assert config(threads=mc.MAX_THREADS).threads == 256
+    for threads in (0, mc.MAX_THREADS + 1, 100_000):
+        with pytest.raises(ValueError, match=rf"threads must lie in \[1, 256\], got {threads}"):
+            config(threads=threads)
+
+
 def test_trial_seed_is_stable_and_distinct():
     s = mc.trial_seed(42, 0)
     assert s == mc.trial_seed(42, 0)

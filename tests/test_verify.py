@@ -5,6 +5,7 @@ from itertools import compress, product
 
 import numpy as np
 import pytest
+from reference import column_sites, protected_row
 
 from torusboot import dynamics, extremal, formulas, montecarlo, verify
 from torusboot.dynamics import Modified, Standard
@@ -75,18 +76,9 @@ def scalar_lemma_counts(d, t, protected):
     return n_checks, n_viol
 
 
-def protected_row(d, t, sites):
-    """One row of the batched protected set, for the state with `sites` uninfected."""
-    return dynamics.protected_set(dynamics.ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, Standard(d))[0]
-
-
-def column_sites(d, t):
-    return {s for s in enumerate_ball(d, t).sites if all(c in (0, 1) for c in s[: d - 1])}
-
-
 def test_check_key_lemma_tight_on_column():
     d, t = 2, 2
-    protected = protected_row(d, t, column_sites(d, t))
+    protected = protected_row(d, t, column_sites(d, t), Standard(d))
     report = check_key_lemma(protected, d, t, (0, 0), (0, 0), t)
     assert report.holds
     assert report.compatible_protected == formulas.ell(t, d)
@@ -95,7 +87,7 @@ def test_check_key_lemma_tight_on_column():
 
 def test_check_key_lemma_slack_on_full_ball():
     d, t = 2, 2
-    protected = protected_row(d, t, set(enumerate_ball(d, t).sites))
+    protected = protected_row(d, t, set(enumerate_ball(d, t).sites), Standard(d))
     report = check_key_lemma(protected, d, t, (1, 0), (1, 0), 1)
     assert report.holds
     assert report.compatible_protected > report.bound
@@ -103,7 +95,7 @@ def test_check_key_lemma_slack_on_full_ball():
 
 def test_check_key_lemma_preconditions():
     d, t = 2, 2
-    protected = protected_row(d, t, column_sites(d, t))
+    protected = protected_row(d, t, column_sites(d, t), Standard(d))
     with pytest.raises(PreconditionError):
         check_key_lemma(protected, d, t, (0, 0), (0, 0), t + 1)  # k too large
     with pytest.raises(PreconditionError):
