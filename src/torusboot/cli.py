@@ -9,6 +9,7 @@ an internal error and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -59,21 +60,39 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(
-    out_dir: Path, subcommand: str, params: dict, outputs: list[str], started: str, **extra
-) -> None:
+def _json_file(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_out(out: str, subcommand: str, params: dict, files: dict[str, str], started: str, **extra) -> None:
+    """Make the --out directory, write `files` (name -> text) into it, and
+    then manifest.json, which lists them.  Called once the answer exists,
+    so a refused run leaves no directory."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
     manifest = {
         "subcommand": subcommand,
         "params": params,
         "tool_version": __version__,
         "started": started,
         "finished": _timestamp(),
-        "outputs": outputs,
+        "outputs": list(files),
         **extra,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "manifest.json").write_text(_json_file(manifest))
+
+
+def _check_flags(args: argparse.Namespace, what: str, names: tuple[str, ...],
+                 reads: tuple[str, ...], required: tuple[str, ...]) -> None:
+    """Refuse a missing required flag, or a given flag that `what` does not read, among `names`."""
+    for name in names:
+        given = getattr(args, name) is not None
+        if name in required and not given:
+            raise SchemaError(f"--{name} is required for {what}")
+        if given and name not in reads:
+            raise SchemaError(f"--{name}: {what} does not read it")
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +113,8 @@ FORMULAS = {
 def cmd_formulas(args: argparse.Namespace) -> int:
     flags, value_of = FORMULAS[args.quantity]
     read = flags + ("r",) if "rule" in flags else flags  # --r is the threshold of the parsed rule
-    for name in ("d", "t", "n", "r", "q", "alpha"):  # --rule has a default, so it is always given
-        given = getattr(args, name) is not None
-        if name in flags and not given:
-            raise SchemaError(f"--{name} is required for quantity {args.quantity!r}")
-        if given and name not in read:
-            raise SchemaError(f"--{name}: quantity {args.quantity!r} does not read it")
+    # --rule has a default, so it is always given
+    _check_flags(args, f"quantity {args.quantity!r}", ("d", "t", "n", "r", "q", "alpha"), read, flags)
     params = {name: getattr(args, name) for name in flags}
     try:
         value = value_of(args)
@@ -117,11 +132,52 @@ def cmd_formulas(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # extremal
 
+def _answer_min(a: argparse.Namespace, rule: Rule) -> tuple[dict, dict[str, str]]:
+    count, certs = extremal.count_min_certificates(a.d, a.t, rule, budget=a.budget)
+    docs = [c.to_json() for c in certs]  # to_json classifies, so build the documents once
+    tags = [doc["classification"] for doc in docs]
+    summary = {
+        "d": a.d,
+        "t": a.t,
+        "rule": a.rule,
+        "size": certs[0].size if certs else 0,
+        "count": count,
+        "canonical": tags.count("canonical"),
+        "semi_canonical": tags.count("semi-canonical"),
+        "other": tags.count("other"),
+    }
+    # the dict's insertion order is the column order
+    csv = ",".join(summary) + "\n" + ",".join(str(v) for v in summary.values()) + "\n"
+    return summary, {"certificates.json": _json_file(docs), "summary.csv": csv}
+
+
+def _answer_poly(a: argparse.Namespace, poly: extremal.RhoPolynomial) -> tuple[dict, dict[str, str]]:
+    doc = poly.to_json()
+    if a.q is not None:
+        doc["value_at_q"] = {"q": a.q, "value": poly.evaluate(a.q)}
+    return doc, {f"{a.action}.json": _json_file(doc)}
+
+
+def _answer_near_minimal(a: argparse.Namespace, rule: Rule) -> tuple[dict, dict[str, str]]:
+    count = extremal.count_near_minimal(a.d, a.t, a.k, rule, budget=a.budget)
+    doc = {"d": a.d, "t": a.t, "k": a.k, "rule": a.rule, "count": count}
+    return doc, {"near-minimal.json": _json_file(doc)}
+
+
+# action -> (flags it reads among --offset, --k and --q; flags it requires;
+# answer: the printed document and the files --out writes)
+EXTREMAL = {
+    "min": ((), (), _answer_min),
+    "rho1": (("q",), (), lambda a, rule: _answer_poly(a, extremal.exact_rho1(a.d, a.t, rule, budget=a.budget))),
+    "joint": (("offset", "q"), ("offset",), lambda a, rule: _answer_poly(a, extremal.exact_joint(
+        a.d, a.t, _parse_offset(a.offset, a.d), rule, budget=a.budget))),
+    "near-minimal": (("k",), ("k",), _answer_near_minimal),
+}
+
+
 def cmd_extremal(args: argparse.Namespace) -> int:
-    read = {"min": (), "rho1": ("q",), "joint": ("offset", "q"), "near-minimal": ("k",)}[args.action]
-    for name in ("offset", "k", "q"):
-        if getattr(args, name) is not None and name not in read:
-            raise SchemaError(f"--{name}: action {args.action!r} does not read it")
+    reads, required, answer = EXTREMAL[args.action]
+    _check_flags(args, f"action {args.action!r}", ("offset", "k", "q"), reads, required)
     if args.budget < 0:
         raise SchemaError(f"--budget: must be >= 0, got {args.budget}")
     if args.d < 1 or args.t < 0:
@@ -130,60 +186,15 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         raise SchemaError(f"ball d={args.d} t={args.t} exceeds the enumeration limit of {MAX_BALL_SITES} sites")
     if args.q is not None and not 0.0 <= args.q <= 1.0:
         raise SchemaError(f"--q: must lie in [0, 1], got {args.q}")
+    if args.k is not None and args.k < 0:
+        raise SchemaError(f"--k >= 0 is required for action {args.action!r}")
     rule = _parse_rule(args.rule, args.d, args.r)
-    if args.action == "joint" and args.offset is None:
-        raise SchemaError("--offset is required for action 'joint'")
-    if args.action == "near-minimal" and (args.k is None or args.k < 0):
-        raise SchemaError("--k >= 0 is required for action 'near-minimal'")
-    offset = None if args.offset is None else _parse_offset(args.offset, args.d)
     started = _timestamp()
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-
-    if args.action == "min":
-        count, certs = extremal.count_min_certificates(args.d, args.t, rule, budget=args.budget)
-        docs = [c.to_json() for c in certs]  # to_json classifies, so build the documents once
-        tags = [doc["classification"] for doc in docs]
-        summary = {
-            "d": args.d,
-            "t": args.t,
-            "rule": args.rule,
-            "size": certs[0].size if certs else 0,
-            "count": count,
-            "canonical": tags.count("canonical"),
-            "semi_canonical": tags.count("semi-canonical"),
-            "other": tags.count("other"),
-        }
-        if out_dir is not None:
-            (out_dir / "certificates.json").write_text(json.dumps(docs, indent=2, sort_keys=True) + "\n")
-            header = ",".join(summary)  # the dict's insertion order is the column order
-            row = ",".join(str(v) for v in summary.values())
-            (out_dir / "summary.csv").write_text(header + "\n" + row + "\n")
-            outputs += ["certificates.json", "summary.csv"]
-        print(json.dumps(summary, sort_keys=True))
-    elif args.action in ("rho1", "joint"):
-        if args.action == "joint":
-            poly = extremal.exact_joint(args.d, args.t, offset, rule, budget=args.budget)
-        else:
-            poly = extremal.exact_rho1(args.d, args.t, rule, budget=args.budget)
-        doc = poly.to_json()
-        if args.q is not None:
-            doc["value_at_q"] = {"q": args.q, "value": poly.evaluate(args.q)}
-        if out_dir is not None:
-            name = f"{args.action}.json"
-            (out_dir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            outputs.append(name)
-        print(json.dumps(doc, sort_keys=True))
-    else:  # near-minimal
-        g = extremal.count_near_minimal(args.d, args.t, args.k, rule, budget=args.budget)
-        print(json.dumps({"d": args.d, "t": args.t, "k": args.k, "rule": args.rule, "count": g},
-                         sort_keys=True))
-
-    if out_dir is not None:
+    doc, files = answer(args, rule)
+    if args.out:
         params = {k: getattr(args, k) for k in ("action", "d", "t", "rule", "r", "offset", "k", "budget", "q")}
-        _write_manifest(out_dir, "extremal", params, outputs, started)
+        _write_out(args.out, "extremal", params, files, started)
+    print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
@@ -289,39 +300,27 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif "F" in measure:
         dist_f = montecarlo.run_trials_F(config, t)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    report: dict = {"config": doc, "results": {}}
+    files: dict[str, str] = {}
+    results: dict = {}
     if dist_t is not None:
-        (out_dir / "T_hist.csv").write_text(dist_t.to_csv())
-        outputs.append("T_hist.csv")
+        files["T_hist.csv"] = dist_t.to_csv()
         est = montecarlo.estimate_P_T_le_t(dist_t, t)
-        report["results"]["T"] = {
+        results["T"] = {
             "trials": dist_t.trials,
             "stuck": dist_t.stuck_count,
-            "P_T_le_t": {
-                "t": t,
-                "point": est.point,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "level": est.level,
-            },
+            "P_T_le_t": {"t": t, **dataclasses.asdict(est)},
         }
     if dist_f is not None:
-        (out_dir / "F_hist.csv").write_text(dist_f.to_csv())
-        outputs.append("F_hist.csv")
+        files["F_hist.csv"] = dist_f.to_csv()
         entry: dict = {"trials": dist_f.trials, "t": t}
         if extras["lambda"] is not None:
             entry["tv_vs_poisson"] = {
                 "lambda": extras["lambda"],
                 "tv": montecarlo.tv_report(dist_f, float(extras["lambda"])),
             }
-        report["results"]["F"] = entry
-
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    outputs.append("report.json")
-    _write_manifest(out_dir, "experiment", doc, outputs, started, threads=config.threads)
+        results["F"] = entry
+    files["report.json"] = _json_file({"config": doc, "results": results})
+    _write_out(args.out, "experiment", doc, files, started, threads=config.threads)
     return EXIT_OK
 
 

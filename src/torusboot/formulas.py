@@ -73,7 +73,12 @@ def _leading_scale(n: int, d: int, t: int, rule: Rule) -> tuple[int, int]:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     count, size = leading_term(t, d, rule)
-    return count * n**d, size
+    scale = count * n**d
+    try:
+        float(scale)  # the callers take it to floating point
+    except OverflowError:
+        raise ValueError(f"n too large: {count} * n^{d} exceeds the float range")
+    return scale, size
 
 
 def lambda_leading(n: int, d: int, t: int, q: float, rule: Rule) -> float:

@@ -132,9 +132,12 @@ def experiment(monkeypatch, tmp_path, measure, trials):
 def test_T_experiment_calls_the_regime_trace_names(monkeypatch, tmp_path):
     # the regime's modified config measures T alone; its trace reads these spans
     calls = Counter()
+    # `cli.experiment` is the tracer's patch of the module attribute, so the
+    # dispatch must look cmd_experiment up when main runs, not at import
     spy_on(monkeypatch, calls, [(montecarlo, "run_trials_T"), (montecarlo, "sample_initial_grid"),
-                                (dynamics, "torus_step_grid")])
+                                (dynamics, "torus_step_grid"), (cli, "cmd_experiment")])
     experiment(monkeypatch, tmp_path, ["T"], trials=20)
+    assert calls["cmd_experiment"] == 1
     assert calls["run_trials_T"] == 1
     assert calls["sample_initial_grid"] == 20
     assert calls["torus_step_grid"] >= 20

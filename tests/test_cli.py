@@ -104,10 +104,12 @@ def test_extremal_rho1(capsys):
     assert doc["counts"] == [0, 0, 0, 0, 4, 1]
 
 
-def test_extremal_budget_refusal(capsys):
-    assert run(["extremal", "min", "--d", "2", "--t", "2", "--budget", "10"]) == 3
+def test_extremal_budget_refusal(tmp_path, capsys):
+    # the --out directory is made only once the answer exists
+    assert run(["extremal", "min", "--d", "2", "--t", "2", "--budget", "10", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "budget" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_extremal_refuses_a_mask_count_beyond_decimal_printing(capsys):
@@ -144,6 +146,24 @@ def test_extremal_joint_requires_offset(capsys):
 def test_extremal_usage_error_writes_no_output(tmp_path, argv):
     assert run(["extremal", *argv, "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (["extremal", "min", "--d", "2", "--t", "1"], None),
+    (["extremal", "rho1", "--d", "2", "--t", "1", "--q", "0.5"], "rho1.json"),
+    (["extremal", "joint", "--d", "2", "--t", "1", "--offset", "1,0"], "joint.json"),
+    (["extremal", "near-minimal", "--d", "2", "--t", "2", "--k", "1"], "near-minimal.json"),
+    (["experiment", "CONFIG"], None),
+], ids=["min", "rho1", "joint", "near-minimal", "experiment"])
+def test_out_directory_holds_the_manifest_and_its_outputs(tmp_path, capsys, argv, printed):
+    argv = [str(make_config(tmp_path)) if a == "CONFIG" else a for a in argv]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["outputs"]])
+    if printed is not None:  # the answer printed is the answer saved
+        assert json.loads(capsys.readouterr().out) == json.loads((out / printed).read_text())
 
 
 def make_config(tmp_path, **overrides):
@@ -299,6 +319,9 @@ def test_verify_unknown_suite():
     (["formulas", "lambda-leading", "--d", "2", "--t", "1", "--n", "10", "--q", "0.1", "--alpha", "0.5"],
      "--alpha"),
     (["extremal", "min", "--d", "2", "--t", "1", "--budget", "-5"], "--budget"),
+    # count * n^d beyond the float range: refused, not an OverflowError
+    (["formulas", "lambda-leading", "--d", "2", "--t", "2", "--n", "1" + "0" * 200, "--q", "0.1"], "n too large"),
+    (["formulas", "p-alpha", "--d", "2", "--t", "2", "--n", "1" + "0" * 200, "--alpha", "0.5"], "n too large"),
 ])
 def test_bad_input_is_usage_error(argv, field, capsys):
     assert run(argv) == 2

@@ -28,7 +28,7 @@ from torusboot.extremal import (
     exact_rho1,
     min_protecting_size,
 )
-from torusboot.formulas import ell, leading_term, m
+from torusboot.formulas import ell, leading_term, m, m_general
 from torusboot.lattice import dependency_offsets, enumerate_ball, l1_norm
 
 
@@ -378,6 +378,15 @@ def test_exact_joint_counts_are_constant_on_offset_orbits(rule):
 def test_leading_term_matches_the_oracle(d, t, rule):
     want = (count_min_certificates(d, t, rule)[0], min_protecting_size(d, t, rule))
     assert leading_term(t, d, rule) == want
+
+
+@pytest.mark.parametrize(
+    "d,t,r",
+    [(d, t, r) for t in (0, 1) for d in range(3, 7) for r in range(2, d)] + [(3, 2, 2)],
+)
+def test_m_general_matches_the_oracle(d, t, r):
+    # every cell with 2 <= r < d that the default budget answers
+    assert m_general(t, d, r) == min_protecting_size(d, t, Standard(r))
 
 
 @pytest.mark.parametrize("t", range(4))
