@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -88,6 +88,7 @@ class Certificate:
 class Canonical:
     axis: int
     orientations: tuple[int, ...]  # length d, 0 at the aligned axis
+    tag: ClassVar[str] = "canonical"
 
 
 @dataclass(frozen=True)
@@ -96,76 +97,68 @@ class SemiCanonical:
     orientations: tuple[int, ...]
     v_plus: Site
     v_minus: Site
+    tag: ClassVar[str] = "semi-canonical"
 
 
 @dataclass(frozen=True)
 class Other:
-    pass
+    tag: ClassVar[str] = "other"
 
 
 Classification = Canonical | SemiCanonical | Other
 
 
 def classification_tag(c: Classification) -> str:
-    if isinstance(c, Canonical):
-        return "canonical"
-    if isinstance(c, SemiCanonical):
-        return "semi-canonical"
-    return "other"
+    return c.tag
 
 
-def _column_set(d: int, t: int, axis: int, orient: tuple[int, ...]) -> frozenset[Site]:
-    ball = enumerate_ball(d, t)
-    return frozenset(
-        x for x in ball.sites if all(x[i] in (0, orient[i]) for i in range(d) if i != axis)
-    )
-
-
-def classify(cert: Certificate) -> Classification:
-    """Match the protected set of a certificate against the column templates.
+@lru_cache(maxsize=None)
+def _templates(d: int, t: int, rule: Rule) -> dict[frozenset[Site], Classification]:
+    """Every column template of B_t mapped to its class; where two templates
+    are the same set, the first in search order (axis, then orientation,
+    then the column before its displaced ends) names it.
 
     Standard rule: canonical is a column aligned with some axis, and
     semi-canonical a column whose two extreme points may each be displaced
     one step sideways.  Modified rule: canonical is the line through the
     origin along some axis, with every orientation 0.
     """
+    sites = enumerate_ball(d, t).sites
+    modified = isinstance(rule, Modified)
+    table: dict[frozenset[Site], Classification] = {}
+    for axis in range(d):
+        for eps in [(0,) * (d - 1)] if modified else product((-1, 1), repeat=d - 1):
+            orient = eps[:axis] + (0,) + eps[axis:]
+            column = frozenset(x for x in sites if all(x[i] in (0, orient[i]) for i in range(d) if i != axis))
+            table.setdefault(column, Canonical(axis=axis, orientations=orient))
+            if modified:
+                continue
+            # the end at s * t on the axis, then its displacements to height
+            # s * (t - 1), one step against the orientation of another axis
+            ups, downs = (
+                [tuple(s * t if j == axis else 0 for j in range(d))]
+                + [
+                    tuple((s * (t - 1) if j == axis else 0) - (orient[j] if j == i else 0) for j in range(d))
+                    for i in range(d) if i != axis
+                ]
+                for s in (1, -1)
+            )
+            base = column - {ups[0], downs[0]}
+            for vp, vm in product(ups, downs):
+                table.setdefault(
+                    base | {vp, vm}, SemiCanonical(axis=axis, orientations=orient, v_plus=vp, v_minus=vm)
+                )
+    return table
+
+
+def classify(cert: Certificate) -> Classification:
+    """The class of the template that a certificate's protected set equals,
+    Other when it equals none."""
     d, t = cert.d, cert.t
     row = dynamics.ball_state(d, t, cert.uninfected).uninfected
     protected_row = dynamics.protected_set(row[np.newaxis, :], d, t, cert.rule)[0]
     protected = frozenset(compress(enumerate_ball(d, t).sites, protected_row))
-    if isinstance(cert.rule, Modified):
-        for axis in range(d):
-            if protected == _column_set(d, t, axis, (0,) * d):
-                return Canonical(axis=axis, orientations=(0,) * d)
-        return Other()
-    for axis in range(d):
-        others = [i for i in range(d) if i != axis]
-        for eps in product((-1, 1), repeat=d - 1):
-            orient = [0] * d
-            for i, e in zip(others, eps):
-                orient[i] = e
-            orient_t = tuple(orient)
-            column = _column_set(d, t, axis, orient_t)
-            if protected == column:
-                return Canonical(axis=axis, orientations=orient_t)
-            top = tuple(t if i == axis else 0 for i in range(d))
-            bottom = tuple(-t if i == axis else 0 for i in range(d))
-            base = column - {top, bottom}
-            v_plus_opts = [top] + [
-                tuple((t - 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
-                for i in others
-            ]
-            v_minus_opts = [bottom] + [
-                tuple((-t + 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
-                for i in others
-            ]
-            for vp in v_plus_opts:
-                for vm in v_minus_opts:
-                    if protected == base | {vp, vm}:
-                        return SemiCanonical(
-                            axis=axis, orientations=orient_t, v_plus=vp, v_minus=vm
-                        )
-    return Other()
+    return _templates(d, t, cert.rule).get(protected, Other())
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +177,6 @@ def _layer_hits(d: int, t: int, rule: Rule, u: int) -> tuple[tuple[int, ...], ..
     from . import sweep
 
     return tuple(sweep.size_layer_hits(sweep.domain(d, t), rule, u))
-
-
-def _full_sweep(d: int, t: int, rule: Rule, offset: Site | None, budget: int) -> sweep.Sweep:
-    """The mask sweep of sweep.domain(d, t, offset); refuses its work above the budget."""
-    from . import sweep
-
-    work = sweep.mask_work(d, t, offset)
-    if work > budget:
-        raise WorkBudgetExceeded(work, budget)
-    return _mask_sweep(d, t, rule, offset)
 
 
 def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
@@ -263,6 +246,8 @@ class RhoPolynomial:
     offset: Site | None = None
 
     def evaluate(self, q: float) -> float:
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q}")
         p = 1.0 - q
         return float(
             sum(c * q**u * p ** (self.n_sites - u) for u, c in enumerate(self.counts) if c)
@@ -288,13 +273,30 @@ class RhoPolynomial:
         return out
 
 
-def exact_rho1(d: int, t: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> RhoPolynomial:
-    """Exact per-size counts of origin-protecting subsets of B_t."""
+def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: int) -> RhoPolynomial:
+    """Exact counts over sweep.domain(d, t, offset) from its mask sweep;
+    refuses its work above the budget."""
+    from . import sweep
+
     if rule is None:
         rule = Standard(r=d)
     dynamics.check_rule(rule, d)
-    counts = _full_sweep(d, t, rule, None, budget).counts
-    return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, n_sites=ball_size(d, t))
+    if offset is not None:
+        offset = tuple(offset)
+        if len(offset) != d:
+            raise ValueError(f"offset must have d = {d} coordinates, got {len(offset)}")
+        if all(c == 0 for c in offset):
+            raise ValueError("offset must be nonzero")
+    work = sweep.mask_work(d, t, offset)
+    if work > budget:
+        raise WorkBudgetExceeded(work, budget)
+    counts = _mask_sweep(d, t, rule, offset).counts
+    return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, n_sites=len(counts) - 1, offset=offset)
+
+
+def exact_rho1(d: int, t: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> RhoPolynomial:
+    """Exact per-size counts of origin-protecting subsets of B_t."""
+    return _polynomial(d, t, rule, None, budget)
 
 
 def exact_joint(
@@ -305,16 +307,7 @@ def exact_joint(
     Enumerates all states of B_t(0) union B_t(offset); exact because each
     protection event depends only on its own radius-t ball.
     """
-    if rule is None:
-        rule = Standard(r=d)
-    dynamics.check_rule(rule, d)
-    if all(c == 0 for c in offset):
-        raise ValueError("offset must be nonzero")
-    offset = tuple(offset)
-    counts = _full_sweep(d, t, rule, offset, budget).counts
-    return RhoPolynomial(
-        d=d, t=t, rule=rule, counts=counts, n_sites=len(counts) - 1, offset=offset
-    )
+    return _polynomial(d, t, rule, offset, budget)
 
 
 def count_near_minimal(d: int, t: int, k: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> int:

@@ -3,13 +3,17 @@
 evolve_boolean is the finite-domain rule written once more, on boolean
 rows and neighbour counts, independently of the bitwise expression that
 every kernel in torusboot.dynamics and torusboot.sweep steps; the tests
-hold those kernels to it bit for bit.
+hold those kernels to it bit for bit.  classify_by_search is the column
+template search that extremal.classify's cached table replaces.
 """
+
+from itertools import product
 
 import numpy as np
 
 from torusboot import dynamics
-from torusboot.dynamics import Standard
+from torusboot.dynamics import Modified, Standard
+from torusboot.extremal import Canonical, Other, SemiCanonical
 from torusboot.lattice import enumerate_ball
 
 
@@ -43,3 +47,48 @@ def column_sites(d, t):
 def protected_row(d, t, sites, rule):
     """One row of the batched protected set, for the state of B_t with `sites` uninfected."""
     return dynamics.protected_set(dynamics.ball_state(d, t, sites).uninfected[np.newaxis, :], d, t, rule)[0]
+
+
+def _column_set(d, t, axis, orient):
+    ball = enumerate_ball(d, t)
+    return frozenset(
+        x for x in ball.sites if all(x[i] in (0, orient[i]) for i in range(d) if i != axis)
+    )
+
+
+def classify_by_search(d, t, rule, protected):
+    """The class of a protected set of B_t, searched template by template,
+    each rebuilt on the spot; the first match wins."""
+    if isinstance(rule, Modified):
+        for axis in range(d):
+            if protected == _column_set(d, t, axis, (0,) * d):
+                return Canonical(axis=axis, orientations=(0,) * d)
+        return Other()
+    for axis in range(d):
+        others = [i for i in range(d) if i != axis]
+        for eps in product((-1, 1), repeat=d - 1):
+            orient = [0] * d
+            for i, e in zip(others, eps):
+                orient[i] = e
+            orient_t = tuple(orient)
+            column = _column_set(d, t, axis, orient_t)
+            if protected == column:
+                return Canonical(axis=axis, orientations=orient_t)
+            top = tuple(t if i == axis else 0 for i in range(d))
+            bottom = tuple(-t if i == axis else 0 for i in range(d))
+            base = column - {top, bottom}
+            v_plus_opts = [top] + [
+                tuple((t - 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
+                for i in others
+            ]
+            v_minus_opts = [bottom] + [
+                tuple((-t + 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
+                for i in others
+            ]
+            for vp in v_plus_opts:
+                for vm in v_minus_opts:
+                    if protected == base | {vp, vm}:
+                        return SemiCanonical(
+                            axis=axis, orientations=orient_t, v_plus=vp, v_minus=vm
+                        )
+    return Other()

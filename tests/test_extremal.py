@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import column_sites, evolve_boolean, protected_row
+from reference import classify_by_search, column_sites, evolve_boolean, protected_row
 
 from torusboot import dynamics, extremal, sweep
 from torusboot.dynamics import Modified, Standard, ball_state, is_origin_protected
@@ -430,6 +430,69 @@ def test_classify_column_is_canonical():
     assert isinstance(classify(cert), Canonical)
 
 
+def reference_class(d, t, rule, uninfected):
+    """classify_by_search on the protected set of the state with `uninfected` uninfected."""
+    sites = enumerate_ball(d, t).sites
+    protected = frozenset(s for s, p in zip(sites, protected_row(d, t, uninfected, rule)) if p)
+    return classify_by_search(d, t, rule, protected)
+
+
+CLASSIFY_CELLS = [(1, t) for t in range(3)] + [(2, t) for t in range(4)] + [(3, 1), (3, 2), (4, 1)]
+
+
+@pytest.mark.parametrize("d,t", CLASSIFY_CELLS)
+@pytest.mark.parametrize("modified", [False, True], ids=["standard", "modified"])
+def test_template_table_matches_the_search(d, t, modified):
+    # template sets repeat (the column is also base | {top, bottom}), so a
+    # table in which a later template overwrote an earlier one fails here
+    rule = Modified() if modified else Standard(d)
+    ball = set(enumerate_ball(d, t).sites)
+    for sites, cls in extremal._templates(d, t, rule).items():
+        assert cls == classify_by_search(d, t, rule, sites)
+        if sites <= ball:  # at t = 0 a displaced end lies outside B_0
+            cert = extremal.Certificate(d=d, t=t, rule=rule, uninfected=sites)
+            assert classify(cert) == reference_class(d, t, rule, sites)
+    for cert in count_min_certificates(d, t, rule)[1]:
+        assert classify(cert) == reference_class(d, t, rule, cert.uninfected)
+
+
+@pytest.mark.parametrize("d,t", [(2, 1), (2, 2), (3, 1)])
+def test_classify_matches_the_search_for_every_threshold(d, t):
+    for r in range(1, 2 * d + 1):
+        for cert in count_min_certificates(d, t, Standard(r))[1]:
+            assert classify(cert) == reference_class(d, t, Standard(r), cert.uninfected)
+
+
+def test_classify_matches_the_search_on_random_subsets():
+    rng = np.random.default_rng(23)
+    for d, t in [(2, 2), (2, 3), (3, 2)]:
+        sites = enumerate_ball(d, t).sites
+        for rule in (Standard(d), Standard(d - 1), Modified()):
+            for q in (0.6, 0.9):
+                for row in rng.random((40, len(sites))) < q:
+                    uninfected = frozenset(s for s, u in zip(sites, row) if u)
+                    cert = extremal.Certificate(d=d, t=t, rule=rule, uninfected=uninfected)
+                    assert classify(cert) == reference_class(d, t, rule, uninfected)
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_template_table_holds_the_paper_count(d, t):
+    # d^3 2^(d-1) distinct columns with displaced ends; (4,2) and (5,2) are
+    # past the exhaustive oracle's budget, so this checks the count on its own
+    assert len(extremal._templates(d, t, Standard(d))) == leading_term(t, d, Standard(d))[0]
+
+
+@pytest.mark.parametrize("d,t", [(d, t) for d in range(1, 5) for t in range(1, 4)])
+def test_modified_template_table_is_the_axis_lines(d, t):
+    assert len(extremal._templates(d, t, Modified())) == d
+
+
+def test_classification_tags():
+    semi = SemiCanonical(axis=0, orientations=(0, 1), v_plus=(2, 0), v_minus=(-2, 0))
+    tags = [classification_tag(c) for c in (Canonical(axis=0, orientations=(0, 1)), semi, Other())]
+    assert tags == ["canonical", "semi-canonical", "other"]
+
+
 def test_exact_rho1_2_1():
     poly = exact_rho1(2, 1)
     assert poly.counts == (0, 0, 0, 0, 4, 1)
@@ -567,6 +630,19 @@ def test_joint_minimum_exceeds_single():
 def test_joint_rejects_zero_offset():
     with pytest.raises(ValueError):
         exact_joint(2, 1, (0, 0))
+
+
+@pytest.mark.parametrize("offset", [(1,), (1, 0, 0)])
+def test_joint_rejects_an_offset_of_the_wrong_length(offset):
+    with pytest.raises(ValueError, match=f"offset must have d = 2 coordinates, got {len(offset)}"):
+        exact_joint(2, 1, offset)
+
+
+def test_evaluate_refuses_q_outside_0_1():
+    poly = exact_rho1(2, 1)
+    for q in (2.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="q must be in"):
+            poly.evaluate(q)
 
 
 def test_count_near_minimal():

@@ -35,9 +35,17 @@ def test_poisson_regime_script(tmp_path):
 def test_extremal_census_script(tmp_path):
     proc = run_script("extremal_census.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    modified = [row for row in rows if row[0] == "modified"]
-    assert len(modified) == 5
-    for row in modified:
-        d = int(row[1])
-        assert row[4] == str(d) and row[5] == f"canonical={d}", row
+    # rule, d, t, size, count and classes of each row; the last column is its wall time
+    rows = [" ".join(line.split()[:-1]) for line in proc.stdout.splitlines()[1:]]
+    assert rows == [
+        "standard 2 1 4 4 canonical=2, semi-canonical=2",
+        "modified 2 1 3 2 canonical=2",
+        "standard 2 2 8 16 canonical=4, semi-canonical=12",
+        "modified 2 2 5 2 canonical=2",
+        "standard 2 3 12 16 canonical=4, semi-canonical=12",
+        "modified 2 3 7 2 canonical=2",
+        "standard 3 1 5 15 canonical=4, semi-canonical=11",
+        "modified 3 1 3 3 canonical=3",
+        "standard 3 2 12 108 canonical=12, semi-canonical=96",
+        "modified 3 2 5 3 canonical=3",
+    ]
