@@ -64,6 +64,16 @@ def _json_file(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work runs and creating nothing, an --out path
+    that _write_out could not make into a directory."""
+    for path in (Path(out), *Path(out).parents):
+        if path.is_dir():
+            return
+        if path.exists() or path.is_symlink():
+            raise SchemaError(f"--out: {path} exists and is not a directory")
+
+
 def _write_out(out: str, subcommand: str, params: dict, files: dict[str, str], started: str, **extra) -> None:
     """Make the --out directory, write `files` (name -> text) into it, and
     then manifest.json, which lists them.  Called once the answer exists,
@@ -189,6 +199,8 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 0:
         raise SchemaError(f"--k >= 0 is required for action {args.action!r}")
     rule = _parse_rule(args.rule, args.d, args.r)
+    if args.out:
+        _check_out(args.out)
     started = _timestamp()
     doc, files = answer(args, rule)
     if args.out:
@@ -290,6 +302,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config: invalid JSON: {exc}")
     config, extras = load_experiment_config(doc)
+    _check_out(args.out)
 
     measure, t = extras["measure"], extras["t_measure"]
     dist_t = dist_f = None

@@ -242,8 +242,11 @@ class RhoPolynomial:
     t: int
     rule: Rule
     counts: tuple[int, ...]
-    n_sites: int
     offset: Site | None = None
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.counts) - 1
 
     def evaluate(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
@@ -291,7 +294,7 @@ def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: 
     if work > budget:
         raise WorkBudgetExceeded(work, budget)
     counts = _mask_sweep(d, t, rule, offset).counts
-    return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, n_sites=len(counts) - 1, offset=offset)
+    return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, offset=offset)
 
 
 def exact_rho1(d: int, t: int, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET) -> RhoPolynomial:
@@ -357,10 +360,11 @@ def sample_protected_configs(
     n_configs: int,
     rng: np.random.Generator,
     q: float = 0.85,
-) -> list[np.ndarray]:
-    """Rejection-sample initial states of B_t whose origin is protected.
+) -> np.ndarray:
+    """Rejection-sample initial states of B_t whose origin is protected:
+    an (n_configs, n_sites) bool array, in the order they were drawn.
 
-    Each site is uninfected with probability q; batches failing the
+    Each site is uninfected with probability q; rows failing the
     protection test are discarded.  q is an engineering knob: the lemma
     checkers are deterministic, any reachable configuration is valid.
     """
@@ -369,16 +373,16 @@ def sample_protected_configs(
     if not 0 < q <= 1:
         raise ValueError(f"q must be in (0, 1], got {q}")
     n_sites = len(enumerate_ball(d, t))
-    out: list[np.ndarray] = []
+    accepted: list[np.ndarray] = []
+    found = 0
     batch = max(64, min(4096, 4 * n_configs))
     for _ in range(SAMPLER_MAX_BATCHES):
         uninf = rng.random((batch, n_sites)) < q
-        good = dynamics.protects_origin(uninf, d, t, rule)
-        for row in np.flatnonzero(good):
-            out.append(uninf[row].copy())
-            if len(out) == n_configs:
-                return out
-    raise RuntimeError(f"rejection sampling produced {len(out)}/{n_configs} configurations")
+        accepted.append(uninf[dynamics.protects_origin(uninf, d, t, rule)][: n_configs - found])
+        found += len(accepted[-1])
+        if found == n_configs:
+            return np.concatenate(accepted)
+    raise RuntimeError(f"rejection sampling produced {found}/{n_configs} configurations")
 
 
 # perfbench/test_perfbench.py redraws the sampler's batches through this name

@@ -90,8 +90,11 @@ def lambda_leading(n: int, d: int, t: int, q: float, rule: Rule) -> float:
 
 
 def q_at_lambda(lam: float, n: int, d: int, t: int, rule: Rule) -> float:
-    """The q at which the leading-order mean of F_t equals lam."""
+    """The q at which the leading-order mean of F_t equals lam; it lies in
+    [0, 1] for lam in [0, count * n^d], and other lam are refused."""
     scale, size = _leading_scale(n, d, t, rule)
+    if not 0.0 <= lam <= scale:
+        raise ValueError(f"lambda={lam} outside [0, count * n^d = {scale}]: q would not be a probability")
     return (lam / scale) ** (1.0 / size)
 
 
@@ -100,10 +103,15 @@ def p_alpha(n: int, d: int, t: int, alpha: float, rule: Rule) -> float:
 
     Solves alpha = exp(-lambda) for the leading-order lambda; the dropped
     (1+o(1)) factor means this is an asymptotic prediction, not exact.
+    An alpha below exp(-count * n^d) would give a negative threshold.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return 1.0 - q_at_lambda(math.log(1.0 / alpha), n, d, t, rule)
+    lam = -math.log(alpha)
+    scale, _ = _leading_scale(n, d, t, rule)
+    if lam > scale:
+        raise ValueError(f"alpha={alpha} below exp(-count * n^d) = exp(-{scale}): the threshold would be negative")
+    return 1.0 - q_at_lambda(lam, n, d, t, rule)
 
 
 def stein_chen_rhs(n: int, d: int, t: int, rho1: float, rho2_by_offset: dict[Site, float]) -> float:

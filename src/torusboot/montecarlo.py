@@ -170,18 +170,18 @@ def _percolation_time(counts: tuple[int, ...]) -> int | None:
 
 
 def _map_trials(config: ExperimentConfig, fn) -> list:
-    """fn(i) for every trial index i on config.threads threads, in trial-index order.
-
-    Refuses with MemoryBudgetExceeded before the first trial allocates.
-    """
+    """fn(i) for every trial index i, in trial-index order, on a pool of
+    config.threads threads that runs at most 64 blocks of consecutive trials
+    per thread: few enough to keep its queue small, and enough that a slow
+    block leaves no worker idle for long.  Refuses with MemoryBudgetExceeded first."""
     if config.memory_estimate > MEMORY_LIMIT_BYTES:
         raise MemoryBudgetExceeded(config.memory_estimate, MEMORY_LIMIT_BYTES)
     indices = range(config.trials)
-    if config.threads == 1:
-        return list(map(fn, indices))
+    size = -(-config.trials // (64 * config.threads))
+    blocks = [indices[start : start + size] for start in indices[::size]]
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        # pool.map yields in trial-index order, whatever order the trials finish in
-        return list(pool.map(fn, indices))
+        # pool.map yields the blocks in order, whatever order they finish in
+        return [out for block in pool.map(lambda block: list(map(fn, block)), blocks) for out in block]
 
 
 def _histogram(outcomes: Iterable[int | None]) -> EmpiricalDistribution:
@@ -217,11 +217,11 @@ def run_trials_F(config: ExperimentConfig, t: int) -> EmpiricalDistribution:
     return _histogram(_map_trials(config, one))
 
 
-def estimate_P_T_le_t(dist: EmpiricalDistribution, t: int, level: float = 0.95) -> EstimateWithCI:
-    """Proportion of trials with T <= t, with a Wilson score interval."""
+def estimate_P_T_le_t(dist: EmpiricalDistribution, t: int) -> EstimateWithCI:
+    """Proportion of trials with T <= t, with a 95% Wilson score interval."""
     k = sum(v for outcome, v in dist.histogram.items() if outcome <= t)
     n = dist.trials
-    point = k / n
+    point, level = k / n, 0.95
     z = NormalDist().inv_cdf(0.5 + level / 2)
     denom = 1 + z * z / n
     centre = (point + z * z / (2 * n)) / denom

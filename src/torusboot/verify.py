@@ -170,7 +170,7 @@ def criterion_key_lemma(total: int = KEY_LEMMA_TOTAL, seed: int = MASTER_SEED) -
         configs = extremal.sample_protected_configs(
             d, t, rule, per_cell, rng, q=_SAMPLING_Q[d]
         )
-        protected = dynamics.protected_set(np.stack(configs), d, t, rule)
+        protected = dynamics.protected_set(configs, d, t, rule)
         checks, viol = _lemma_counts(d, t, protected)
         bad_layers = int((extremal.check_layer_bounds(protected, d, t) < 0).any(axis=1).sum())
         _check(rep, viol == 0, f"d={d} t={t}: {viol} lemma violations in {checks} checks")

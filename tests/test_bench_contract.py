@@ -31,6 +31,11 @@ def load_targets():
     return module.TARGETS
 
 
+def span_measure(attr):
+    """The measure the tracer applies to the result of the function named attr."""
+    return {target[1]: target[3] for target in load_targets()}[attr]
+
+
 @pytest.mark.parametrize("module,attr", [target[:2] for target in load_targets()])
 def test_traced_function_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
@@ -49,6 +54,18 @@ def test_batch_protects_origin_takes_a_batch():
     uninf = np.ones((5, len(enumerate_ball(2, 2))), dtype=bool)
     uninf[1:, 0] = False  # the origin, site 0, starts infected in rows 1..4
     assert extremal._batch_protects_origin(uninf, 2, 2, Standard(2)).tolist() == [True] + [False] * 4
+
+
+def test_span_measures_read_the_real_results():
+    # the tracer reads its counts off each traced call's result; a changed
+    # return type fails here, not only in a traced benchmark run
+    configs = extremal.sample_protected_configs(2, 2, Standard(2), 5, np.random.default_rng(3))
+    assert span_measure("sample_protected_configs")((), {}, configs) == {"accepted": 5}
+    cfg = montecarlo.ExperimentConfig(d=2, n=8, rule=Standard(3), q=0.3, t_horizon=1, trials=40, master_seed=7)
+    dist_t, dist_f = montecarlo.run_trials_T(cfg), montecarlo.run_trials_F(cfg, 1)
+    assert dist_t.stuck_count > 0  # threshold 3 on Z^2 leaves some grids stuck
+    for name, dist in (("run_trials_T", dist_t), ("run_trials_F", dist_f)):
+        assert span_measure(name)((cfg,), {}, dist) == {"stuck": dist.trials - sum(dist.histogram.values())}
 
 
 def test_regime_setup_calls_run():

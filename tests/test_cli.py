@@ -73,6 +73,36 @@ def test_formulas_output_is_pinned(capsys, argv, stdout):
     assert capsys.readouterr().out == stdout + "\n"
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_stdout_is_strict_json(capsys):
+    # NaN and Infinity parse by default but are not JSON; the edge values of
+    # each quantity and action must print finite numbers or be refused
+    big = "1" + "0" * 150
+    cases = [
+        ["formulas", "ell", "--d", "9", "--t", "40"],
+        ["formulas", "m", "--d", "9", "--t", "40"],
+        ["formulas", "m-general", "--d", "9", "--t", "40", "--r", "5"],
+        ["formulas", "lambda-leading", "--d", "2", "--t", "2", "--n", big, "--q", "1"],
+        ["formulas", "lambda-leading", "--d", "2", "--t", "2", "--n", "2", "--q", "0"],
+        ["formulas", "p-alpha", "--d", "2", "--t", "2", "--n", "2", "--alpha", "1e-27"],
+        ["formulas", "p-alpha", "--d", "2", "--t", "2", "--n", big, "--alpha", "1e-320"],
+        ["formulas", "p-alpha", "--d", "1", "--t", "0", "--n", "2", "--alpha", str(1 - 1e-16)],
+        ["extremal", "min", "--d", "2", "--t", "2"],
+        ["extremal", "rho1", "--d", "2", "--t", "2", "--q", "0"],
+        ["extremal", "rho1", "--d", "2", "--t", "2", "--q", "1"],
+        ["extremal", "joint", "--d", "2", "--t", "1", "--offset", "1,1", "--q", "1e-300"],
+        ["extremal", "near-minimal", "--d", "2", "--t", "2", "--k", "2"],
+    ]
+    for argv in cases:
+        assert run(argv) == 0, argv
+        json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    assert {argv[1] for argv in cases if argv[0] == "formulas"} == set(cli.FORMULAS)
+    assert {argv[1] for argv in cases if argv[0] == "extremal"} == set(cli.EXTREMAL)
+
+
 def test_extremal_min_writes_outputs(tmp_path, capsys):
     out = tmp_path / "min"
     assert run(["extremal", "min", "--d", "2", "--t", "1", "--out", str(out)]) == 0
@@ -164,6 +194,24 @@ def test_out_directory_holds_the_manifest_and_its_outputs(tmp_path, capsys, argv
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["outputs"]])
     if printed is not None:  # the answer printed is the answer saved
         assert json.loads(capsys.readouterr().out) == json.loads((out / printed).read_text())
+
+
+@pytest.mark.parametrize("argv", [["extremal", "min", "--d", "2", "--t", "1"], ["experiment", "CONFIG"]],
+                         ids=["extremal", "experiment"])
+@pytest.mark.parametrize("out", ["FILE", "FILE/sub"])
+def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the answer was computed before --out was checked")
+
+    monkeypatch.setattr(extremal, "count_min_certificates", no_work)
+    monkeypatch.setattr(montecarlo, "_map_trials", no_work)
+    argv = [str(make_config(tmp_path)) if a == "CONFIG" else a for a in argv]
+    (tmp_path / "FILE").write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    assert run([*argv, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: {tmp_path / 'FILE'} exists and is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "FILE").read_text() == "kept"
 
 
 def make_config(tmp_path, **overrides):
@@ -322,6 +370,9 @@ def test_verify_unknown_suite():
     # count * n^d beyond the float range: refused, not an OverflowError
     (["formulas", "lambda-leading", "--d", "2", "--t", "2", "--n", "1" + "0" * 200, "--q", "0.1"], "n too large"),
     (["formulas", "p-alpha", "--d", "2", "--t", "2", "--n", "1" + "0" * 200, "--alpha", "0.5"], "n too large"),
+    # lambda = -log(alpha) above count * n^d: the threshold would be negative, or -inf
+    (["formulas", "p-alpha", "--d", "1", "--t", "0", "--n", "2", "--alpha", "1e-10"], "alpha=1e-10"),
+    (["formulas", "p-alpha", "--d", "2", "--t", "2", "--n", "2", "--alpha", "1e-320"], "alpha=1e-320"),
 ])
 def test_bad_input_is_usage_error(argv, field, capsys):
     assert run(argv) == 2

@@ -721,6 +721,21 @@ def test_sampler_refuses_q_outside_0_1_before_drawing():
     assert len(extremal.sample_protected_configs(2, 2, Standard(2), 3, rng, q=1.0)) == 3
 
 
+def test_sampler_returns_the_first_protected_rows_of_its_batches():
+    # 70 configurations take batches of 280 rows; redraw them and keep, in
+    # order, each row whose origin a direct one-row test finds protected
+    rng = np.random.default_rng(5)
+    got = extremal.sample_protected_configs(2, 2, Standard(2), 70, rng, q=0.5)
+    redraw, want = np.random.default_rng(5), []
+    while len(want) < 70:
+        batch = redraw.random((280, len(enumerate_ball(2, 2)))) < 0.5
+        want += [row for row in batch if is_origin_protected(ball_state(2, 2, frozenset(
+            site for site, uninfected in zip(enumerate_ball(2, 2).sites, row) if uninfected)), Standard(2))]
+    assert got.dtype == bool and got.shape == (70, len(enumerate_ball(2, 2)))
+    np.testing.assert_array_equal(got, np.array(want[:70]))
+    assert rng.bit_generator.state == redraw.bit_generator.state
+
+
 def test_certificate_json_shape():
     _, certs = count_min_certificates(2, 2, Standard(2))
     doc = certs[0].to_json()

@@ -105,6 +105,21 @@ def test_q_at_lambda_inverts_lambda_leading(d, t, rule):
     assert formulas.lambda_leading(64, d, t, q, rule) == pytest.approx(2.0)
 
 
+def test_q_at_lambda_refuses_a_lambda_no_probability_gives():
+    # count * n^d = 2 * 10^2 for the modified rule at d = 2, t >= 1
+    assert formulas.q_at_lambda(200.0, 10, 2, 1, Modified()) == 1.0
+    assert formulas.q_at_lambda(0.0, 10, 2, 1, Modified()) == 0.0
+    for lam in (200.000001, 1e300, math.inf, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            formulas.q_at_lambda(lam, 10, 2, 1, Modified())
+    # alpha = exp(-lambda): a negative threshold below exp(-count * n^d), an
+    # infinite lambda for a subnormal alpha
+    assert formulas.p_alpha(2, 1, 0, math.exp(-1.5), Standard(1)) == pytest.approx(0.25)
+    for alpha in (1e-10, 5e-324):
+        with pytest.raises(ValueError, match=f"alpha={alpha}"):
+            formulas.p_alpha(2, 1, 0, alpha, Standard(1))
+
+
 def test_lambda_leading_examples():
     assert formulas.lambda_leading(512, 2, 2, 0.0, Standard(2)) == 0.0
     assert formulas.lambda_leading(10, 2, 1, 0.1, Modified()) == pytest.approx(0.2)

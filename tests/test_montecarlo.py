@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -111,6 +112,32 @@ def test_coupled_pairs_run_on_pool_threads(monkeypatch):
     monkeypatch.setattr(mc, "_percolation_time", spy)
     mc.coupled_monotonicity(config(threads=3, trials=64), q_low=0.1, q_high=0.2)
     assert seen and threading.main_thread() not in seen
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trials_run_on_the_pool_in_at_most_64_blocks_per_thread(monkeypatch, threads):
+    # one Future per block, not per trial, at every thread count: the pool's
+    # queue stays small however many trials there are
+    submits = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(1)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingPool)
+    seen = set()
+
+    def fn(i):
+        seen.add(threading.current_thread())
+        return i
+
+    assert mc._map_trials(config(threads=threads, trials=10_000), fn) == list(range(10_000))
+    assert 0 < len(submits) <= 64 * threads
+    assert seen and threading.main_thread() not in seen
+    # the outcomes stay in trial-index order when the blocks do not divide the trials evenly
+    for trials in (1, 64 * threads - 1, 64 * threads + 1, 1001):
+        assert mc._map_trials(config(threads=threads, trials=trials), lambda i: -i) == [-i for i in range(trials)]
 
 
 @pytest.mark.parametrize("overrides", [{}, {"q": 0.3, "rule": Standard(3)}, {"q": 0.5, "rule": Modified()}])

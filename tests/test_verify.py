@@ -108,7 +108,7 @@ def sampled_protected_sets(d, t, n, seed):
     rule = Standard(d)
     rng = np.random.Generator(np.random.PCG64(seed))
     configs = extremal.sample_protected_configs(d, t, rule, n, rng, q=verify._SAMPLING_Q[d])
-    return dynamics.protected_set(np.stack(configs), d, t, rule)
+    return dynamics.protected_set(configs, d, t, rule)
 
 
 def scalar_cell_counts(d, t, protected):
@@ -225,12 +225,16 @@ def test_regime_inputs_are_pinned_bit_for_bit():
         assert verify.modified_regime_q(n) == (1.0 / (n * n)) ** (1.0 / 3.0)
     for n in (2, 10, 100, 512, 1000, 4096, 10**6):
         for alpha in (1e-6, 0.01, 0.1, 0.5, 0.9, 1 - 1e-9):
-            log_term = math.log(1.0 / alpha)
+            log_term = -math.log(alpha)
             for d in (2, 3, 4):
                 for t in (2, 3, 5):
                     want = 1.0 - (log_term / (d**3 * 2 ** (d - 1) * n**d)) ** (1.0 / formulas.m(t, d))
                     assert formulas.p_alpha(n, d, t, alpha, Standard(d)) == want
                 for t in (1, 2, 4):
+                    if log_term > d * n**d:  # the hand form gives a negative threshold
+                        with pytest.raises(ValueError, match="alpha"):
+                            formulas.p_alpha(n, d, t, alpha, Modified())
+                        continue
                     assert formulas.p_alpha(n, d, t, alpha, Modified()) == 1.0 - (log_term / (d * n**d)) ** (1.0 / (2 * t + 1))
 
 
