@@ -29,9 +29,7 @@ def main() -> int:
             except extremal.WorkBudgetExceeded as exc:
                 print(f"{tag:<10} {d:>2} {t:>2}  refused: {exc}")
                 continue
-            classes = Counter(
-                extremal.classification_tag(extremal.classify(c)) for c in certs
-            )
+            classes = Counter(extremal.classify(c) for c in certs)
             breakdown = ", ".join(f"{k}={v}" for k, v in sorted(classes.items()))
             size = certs[0].size if certs else 0
             print(f"{tag:<10} {d:>2} {t:>2} {size:>4} {count:>6}  {breakdown}"

@@ -67,6 +67,8 @@ def _json_file(doc) -> str:
 def _check_out(out: str) -> None:
     """Refuse, before any work runs and creating nothing, an --out path
     that _write_out could not make into a directory."""
+    if not out:
+        raise SchemaError("--out: the empty path names no directory")
     for path in (Path(out), *Path(out).parents):
         if path.is_dir():
             return
@@ -149,7 +151,7 @@ def _answer_min(a: argparse.Namespace, rule: Rule) -> tuple[dict, dict[str, str]
     summary = {
         "d": a.d,
         "t": a.t,
-        "rule": a.rule,
+        "rule": extremal._rule_tag(rule),
         "size": certs[0].size if certs else 0,
         "count": count,
         "canonical": tags.count("canonical"),
@@ -170,7 +172,7 @@ def _answer_poly(a: argparse.Namespace, poly: extremal.RhoPolynomial) -> tuple[d
 
 def _answer_near_minimal(a: argparse.Namespace, rule: Rule) -> tuple[dict, dict[str, str]]:
     count = extremal.count_near_minimal(a.d, a.t, a.k, rule, budget=a.budget)
-    doc = {"d": a.d, "t": a.t, "k": a.k, "rule": a.rule, "count": count}
+    doc = {"d": a.d, "t": a.t, "k": a.k, "rule": extremal._rule_tag(rule), "count": count}
     return doc, {"near-minimal.json": _json_file(doc)}
 
 
@@ -199,11 +201,11 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 0:
         raise SchemaError(f"--k >= 0 is required for action {args.action!r}")
     rule = _parse_rule(args.rule, args.d, args.r)
-    if args.out:
+    if args.out is not None:
         _check_out(args.out)
     started = _timestamp()
     doc, files = answer(args, rule)
-    if args.out:
+    if args.out is not None:
         params = {k: getattr(args, k) for k in ("action", "d", "t", "rule", "r", "offset", "k", "budget", "q")}
         _write_out(args.out, "extremal", params, files, started)
     print(json.dumps(doc, sort_keys=True))

@@ -40,8 +40,6 @@ class BallIndex:
     sites are sorted by (norm, coords); index_of inverts the enumeration.
     """
 
-    d: int
-    t: int
     sites: tuple[Site, ...]
     index_of: dict[Site, int] = field(compare=False, repr=False)
 
@@ -74,7 +72,7 @@ def enumerate_ball(d: int, t: int) -> BallIndex:
         raise ValueError(f"ball with {n_sites} sites exceeds enumeration limit {MAX_BALL_SITES}")
     sites = tuple(_ball_sites(d, t))
     assert len(sites) == n_sites
-    return BallIndex(d=d, t=t, sites=sites, index_of={s: i for i, s in enumerate(sites)})
+    return BallIndex(sites=sites, index_of={s: i for i, s in enumerate(sites)})
 
 
 def dependency_offsets(d: int, t: int) -> tuple[Site, ...]:

@@ -13,7 +13,6 @@ import numpy as np
 
 from torusboot import dynamics
 from torusboot.dynamics import Modified, Standard
-from torusboot.extremal import Canonical, Other, SemiCanonical
 from torusboot.lattice import enumerate_ball
 
 
@@ -57,13 +56,13 @@ def _column_set(d, t, axis, orient):
 
 
 def classify_by_search(d, t, rule, protected):
-    """The class of a protected set of B_t, searched template by template,
+    """The tag of a protected set of B_t, searched template by template,
     each rebuilt on the spot; the first match wins."""
     if isinstance(rule, Modified):
         for axis in range(d):
             if protected == _column_set(d, t, axis, (0,) * d):
-                return Canonical(axis=axis, orientations=(0,) * d)
-        return Other()
+                return "canonical"
+        return "other"
     for axis in range(d):
         others = [i for i in range(d) if i != axis]
         for eps in product((-1, 1), repeat=d - 1):
@@ -73,7 +72,7 @@ def classify_by_search(d, t, rule, protected):
             orient_t = tuple(orient)
             column = _column_set(d, t, axis, orient_t)
             if protected == column:
-                return Canonical(axis=axis, orientations=orient_t)
+                return "canonical"
             top = tuple(t if i == axis else 0 for i in range(d))
             bottom = tuple(-t if i == axis else 0 for i in range(d))
             base = column - {top, bottom}
@@ -88,7 +87,5 @@ def classify_by_search(d, t, rule, protected):
             for vp in v_plus_opts:
                 for vm in v_minus_opts:
                     if protected == base | {vp, vm}:
-                        return SemiCanonical(
-                            axis=axis, orientations=orient_t, v_plus=vp, v_minus=vm
-                        )
-    return Other()
+                        return "semi-canonical"
+    return "other"

@@ -137,6 +137,18 @@ def test_oracle_calls_its_traced_functions(monkeypatch):
     assert all(open_calls == ("classify", "protected_set") for open_calls in kernel_calls)
 
 
+def test_oracle_tags_are_the_three_strings():
+    # perfbench's oracle counts the certificates whose tag == "other", so a
+    # tag that is not one of these strings would pass that check unseen
+    tags = {"canonical", "semi-canonical", "other"}
+    for d, t, rule in [(2, 2, Standard(2)), (3, 2, Standard(3)), (2, 2, Modified())]:
+        for cert in extremal.count_min_certificates(d, t, rule)[1]:
+            tag = extremal.classification_tag(extremal.classify(cert))
+            assert type(tag) is str and tag in tags, (d, t, rule, tag)
+    lone_origin = extremal.Certificate(d=2, t=2, rule=Standard(2), uninfected=frozenset({(0, 0)}))
+    assert extremal.classification_tag(extremal.classify(lone_origin)) == "other"
+
+
 def experiment(monkeypatch, tmp_path, measure, trials):
     monkeypatch.setenv("TORUSBOOT_THREADS", "2")
     doc = {"schema": 1, "d": 2, "n": 32, "rule": "modified", "q": 0.3, "t_horizon": 1, "trials": trials,

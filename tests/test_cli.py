@@ -116,6 +116,16 @@ def test_extremal_min_writes_outputs(tmp_path, capsys):
     assert set(manifest["outputs"]) == {"certificates.json", "summary.csv"}
 
 
+def test_extremal_outputs_name_the_rule_with_its_threshold(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["extremal", "min", "--d", "2", "--t", "1", "--r", "1", "--out", str(out)]) == 0
+    header, row = (out / "summary.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["rule"] == "standard_r1"
+    assert {c["rule"] for c in json.loads((out / "certificates.json").read_text())} == {"standard_r1"}
+    assert run(["extremal", "near-minimal", "--d", "2", "--t", "1", "--r", "1", "--k", "1"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["rule"] == "standard_r1"
+
+
 def test_extremal_min_classifies_each_certificate_once(tmp_path, capsys, monkeypatch):
     calls = []
     classify = extremal.classify
@@ -198,18 +208,23 @@ def test_out_directory_holds_the_manifest_and_its_outputs(tmp_path, capsys, argv
 
 @pytest.mark.parametrize("argv", [["extremal", "min", "--d", "2", "--t", "1"], ["experiment", "CONFIG"]],
                          ids=["extremal", "experiment"])
-@pytest.mark.parametrize("out", ["FILE", "FILE/sub"])
-def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, out):
+@pytest.mark.parametrize("out,err", [
+    ("FILE", "{tmp}/FILE exists and is not a directory"),
+    ("FILE/sub", "{tmp}/FILE exists and is not a directory"),
+    ("", "the empty path names no directory"),  # would be the current directory
+], ids=["FILE", "FILE/sub", "empty"])
+def test_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, out, err):
     def no_work(*args, **kwargs):
         raise AssertionError("the answer was computed before --out was checked")
 
     monkeypatch.setattr(extremal, "count_min_certificates", no_work)
     monkeypatch.setattr(montecarlo, "_map_trials", no_work)
+    monkeypatch.chdir(tmp_path)
     argv = [str(make_config(tmp_path)) if a == "CONFIG" else a for a in argv]
     (tmp_path / "FILE").write_text("kept")
     before = sorted(tmp_path.rglob("*"))
-    assert run([*argv, "--out", str(tmp_path / out)]) == 2
-    assert capsys.readouterr().err == f"error: --out: {tmp_path / 'FILE'} exists and is not a directory\n"
+    assert run([*argv, "--out", str(tmp_path / out) if out else ""]) == 2
+    assert capsys.readouterr().err == f"error: --out: {err.format(tmp=tmp_path)}\n"
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "FILE").read_text() == "kept"
 

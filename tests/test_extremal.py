@@ -14,13 +14,9 @@ from torusboot import dynamics, extremal, sweep
 from torusboot.dynamics import Modified, Standard, ball_state, is_origin_protected
 from torusboot.extremal import (
     DEFAULT_BUDGET,
-    Canonical,
-    Other,
     PreconditionError,
-    SemiCanonical,
     WorkBudgetExceeded,
     check_layer_bounds,
-    classification_tag,
     classify,
     count_min_certificates,
     count_near_minimal,
@@ -319,9 +315,7 @@ def test_count_certificates_2_2():
     assert count == 16
     assert all(c.size == 8 for c in certs)
     tags = [classify(c) for c in certs]
-    assert sum(isinstance(c, Canonical) for c in tags) == 4
-    assert sum(isinstance(c, SemiCanonical) for c in tags) == 12
-    assert not any(isinstance(c, Other) for c in tags)
+    assert (tags.count("canonical"), tags.count("semi-canonical"), tags.count("other")) == (4, 12, 0)
 
 
 def signed_permutations(d):
@@ -352,7 +346,7 @@ def test_classification_is_constant_on_orbits(d, t):
     # canonical vs semi-canonical is read off column templates; the group
     # is an independent check that the split follows whole orbits
     _, certs = count_min_certificates(d, t, Standard(d))
-    tags = {c.uninfected: classification_tag(classify(c)) for c in certs}
+    tags = {c.uninfected: classify(c) for c in certs}
     assert set(tags.values()) == {"canonical", "semi-canonical"}
     for sites, tag in tags.items():
         for g in signed_permutations(d):
@@ -415,19 +409,20 @@ def test_modified_certificates_are_axis_columns():
 
 @pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_modified_minimal_certificates_classify_canonical(d, t):
-    # each minimal modified certificate protects exactly its own axis line
+    # the minimal modified certificates are the d axis lines, each protecting exactly itself
     count, certs = count_min_certificates(d, t, Modified())
-    tags = [classify(c) for c in certs]
     assert count == d
-    assert all(tag == Canonical(axis=tag.axis, orientations=(0,) * d) for tag in tags)
-    assert sorted(tag.axis for tag in tags) == list(range(d))
+    assert all(classify(c) == "canonical" for c in certs)
+    sites = enumerate_ball(d, t).sites
+    lines = {frozenset(s for s in sites if not any(s[:axis] + s[axis + 1:])) for axis in range(d)}
+    assert {c.uninfected for c in certs} == lines
 
 
 def test_classify_column_is_canonical():
     cert = extremal.Certificate(
         d=2, t=2, rule=Standard(2), uninfected=frozenset(column_sites(2, 2))
     )
-    assert isinstance(classify(cert), Canonical)
+    assert classify(cert) == "canonical"
 
 
 def reference_class(d, t, rule, uninfected):
@@ -447,8 +442,8 @@ def test_template_table_matches_the_search(d, t, modified):
     # table in which a later template overwrote an earlier one fails here
     rule = Modified() if modified else Standard(d)
     ball = set(enumerate_ball(d, t).sites)
-    for sites, cls in extremal._templates(d, t, rule).items():
-        assert cls == classify_by_search(d, t, rule, sites)
+    for sites, tag in extremal._templates(d, t, rule).items():
+        assert tag == classify_by_search(d, t, rule, sites)
         if sites <= ball:  # at t = 0 a displaced end lies outside B_0
             cert = extremal.Certificate(d=d, t=t, rule=rule, uninfected=sites)
             assert classify(cert) == reference_class(d, t, rule, sites)
@@ -488,9 +483,12 @@ def test_modified_template_table_is_the_axis_lines(d, t):
 
 
 def test_classification_tags():
-    semi = SemiCanonical(axis=0, orientations=(0, 1), v_plus=(2, 0), v_minus=(-2, 0))
-    tags = [classification_tag(c) for c in (Canonical(axis=0, orientations=(0, 1)), semi, Other())]
-    assert tags == ["canonical", "semi-canonical", "other"]
+    # a column, the same column with its top end displaced sideways, and the origin alone
+    column = frozenset(column_sites(2, 2))
+    semi = column - {(0, 2)} | {(-1, 1)}
+    certs = [extremal.Certificate(d=2, t=2, rule=Standard(2), uninfected=s)
+             for s in (column, semi, frozenset({(0, 0)}))]
+    assert [classify(c) for c in certs] == ["canonical", "semi-canonical", "other"]
 
 
 def test_exact_rho1_2_1():
