@@ -11,13 +11,14 @@ Infection is monotone, so a subset that leaves a target infected at time 0
 never protects it.  Both feeds therefore fix every target's plane to
 all-ones (uninfected) and enumerate subsets of the other sites only:
 mask_sweep runs all 2^(n-k) subsets of the n - k non-target sites of a
-domain with k targets, and size_layer_hits the subsets of one size, one
-word per run of 64 last elements after each shorter prefix, written
-straight into the planes.  tests/test_extremal.py holds evolve_planes bit
-for bit to the boolean finite-domain reference of tests/reference.py, both
-feeds to all 2^n subsets run through it, and every lane of size_layer_hits
-to itertools.combinations run through it.  The extremal oracles import this
-module on their first sweep, so the package's other users never load it.
+domain with k targets, and size_layer_hits the subsets of one size: the
+prefixes one element shorter, unranked in lexicographic blocks, each get one
+word per run of 64 last elements, written straight into the planes.
+tests/test_extremal.py holds evolve_planes bit for bit to the boolean
+finite-domain reference of tests/reference.py, both feeds to all 2^n subsets
+run through it, and every lane of size_layer_hits to itertools.combinations
+run through it.  The extremal oracles import this module on their first
+sweep, so the package's other users never load it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .lattice import Site, ball_size, enumerate_ball, l1_norm
 
 _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
 _CHUNK_BITS = 13  # a mask sweep evolves 2^13 words (2^19 masks) at a time
-# A size-major block holds fewer than 2 * _PREFIX_BLOCK prefixes, each with
-# at most ceil(m / 64) words over the m non-target sites, so its planes take
-# under 2^16 * m * ceil(m / 64) bytes: 3.9 MiB at m = 62, 16 MiB at m = 128.
-_PREFIX_BLOCK = 1 << 12
+# A size-major block holds at most _PREFIX_BLOCK prefixes, each with at most
+# ceil(m / 64) words over the m non-target sites, so its planes take at most
+# 2^16 * m * ceil(m / 64) bytes: 3.9 MiB at m = 62, 16 MiB at m = 128.
+_PREFIX_BLOCK = 1 << 13
 
 
 class Domain(NamedTuple):
@@ -188,54 +189,27 @@ def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
     return Sweep(min_size=best, hits=tuple(hits), counts=tuple(int(c) for c in counts[: n + 1]))
 
 
-def _combination_table(n: int, k: int, lo: int, hi: int) -> np.ndarray:
-    """The k-subsets of range(n) whose least element lies in range(lo, hi),
-    k >= 1, as increasing rows in lexicographic order."""
-    table = np.arange(lo, hi)[:, np.newaxis]
-    for col in range(1, k):
-        first = table[:, -1] + 1
-        choices = n - k + col + 1 - first  # values for this column that leave room for the rest
-        offsets = np.cumsum(choices) - choices
-        column = np.arange(choices.sum()) + np.repeat(first - offsets, choices)
-        table = np.column_stack([np.repeat(table, choices, axis=0), column])
-    return table
-
-
 def combination_blocks(n: int, u: int, rows: int):
-    """The u-subsets of range(n) in lexicographic order, as arrays of fewer
-    than 2 * rows increasing rows.
+    """The u-subsets of range(n) in lexicographic order, as arrays of
+    increasing rows, exactly rows of them in every array but the last.
 
-    Runs of least elements whose subsets number at most rows together come
-    from one table; a least element with more subsets is split on its next
-    element.
+    Lexicographic rank r is colex rank C(n, u) - 1 - r of the reflected
+    subset {n - 1 - x}, unranked a column at a time (Knuth, TAOCP 4A,
+    7.2.1.3).  Counts are int64, each at most C(n, j) for some j <= u.  At
+    layer u of B_t, size_layer_hits asks for the (u-2)-subsets of its m
+    others, whose counts are at most C(m, j), j <= u - 2: the subsets that
+    _min_layer swept within its budget at layer j + 1, so none overflows.
     """
-
-    def split(prefix: tuple[int, ...], start: int, k: int):
-        if k == 0:
-            yield np.array([prefix], dtype=np.int64)
-            return
-        lo = start
-        while lo <= n - k:
-            if math.comb(n - lo - 1, k - 1) > rows:
-                yield from split(prefix + (lo,), lo + 1, k - 1)
-                lo += 1
-                continue
-            hi, size = lo, 0
-            while hi <= n - k and size + math.comb(n - hi - 1, k - 1) <= rows:
-                size, hi = size + math.comb(n - hi - 1, k - 1), hi + 1
-            tail = _combination_table(n, k, lo, hi)
-            head = np.broadcast_to(np.array(prefix, dtype=np.int64), (len(tail), len(prefix)))
-            yield np.hstack([head, tail])
-            lo = hi
-
-    pending: list[np.ndarray] = []
-    for block in split((), 0, u):
-        pending.append(block)
-        if sum(map(len, pending)) >= rows:
-            yield np.concatenate(pending)
-            pending = []
-    if pending:
-        yield np.concatenate(pending)
+    total = math.comb(n, u)
+    binom = np.array([[math.comb(c, j) for c in range(n)] for j in range(u + 1)], dtype=np.int64)
+    for first in range(0, total, rows):
+        rank = total - 1 - np.arange(first, min(first + rows, total), dtype=np.int64)
+        block = np.empty((rank.size, u), dtype=np.int64)
+        for col, j in enumerate(range(u, 0, -1)):
+            c = np.searchsorted(binom[j], rank, side="right") - 1
+            rank -= binom[j, c]
+            block[:, col] = n - 1 - c
+        yield block
 
 
 def layer_work(d: int, t: int, u: int) -> int:

@@ -252,8 +252,25 @@ def test_combination_blocks_are_lexicographic():
     for n, u in [(7, 0), (7, 3), (12, 5), (9, 9), (40, 3)]:
         for rows in (1, 3, 10, 1000):
             blocks = list(sweep.combination_blocks(n, u, rows))
-            assert all(len(b) < 2 * rows for b in blocks)
+            assert all(len(b) == rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= rows
             assert [tuple(r) for b in blocks for r in b.tolist()] == list(combinations(range(n), u))
+    # past 64 sites, where a prefix's tail spans several words: C(n, u)
+    # increasing rows within range(n), rising lexicographically across
+    # blocks from range(u) to range(n - u, n), force the sequence
+    rows = sweep._PREFIX_BLOCK
+    for n, u in [(84, 4), (62, 5)]:
+        sizes, prev = [], np.arange(-1, u - 1)[np.newaxis]  # one row below range(u)
+        for block in sweep.combination_blocks(n, u, rows):
+            assert ((0 <= block) & (block < n)).all() and (np.diff(block, axis=1) > 0).all()
+            diff = np.diff(np.concatenate([prev, block]), axis=0)
+            first = np.argmax(diff != 0, axis=1)  # the first column where two rows differ
+            assert (diff[np.arange(len(diff)), first] > 0).all()
+            if not sizes:
+                assert block[0].tolist() == list(range(u))
+            sizes.append(len(block))
+            prev = block[-1:]
+        assert all(size == rows for size in sizes[:-1]) and 1 <= sizes[-1] <= rows
+        assert sum(sizes) == math.comb(n, u) and prev[0].tolist() == list(range(n - u, n))
 
 
 @pytest.mark.parametrize(
@@ -407,11 +424,13 @@ def test_modified_certificates_are_axis_columns():
     assert {c.uninfected for c in certs} == expected
 
 
-@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (4, 2)])
+# (5,2) and (6,2) have 60 and 84 other sites, past 2^26 masks, so the
+# size-major sweep answers, its tails spanning two words at (6,2)
+@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)])
 def test_modified_minimal_certificates_classify_canonical(d, t):
     # the minimal modified certificates are the d axis lines, each protecting exactly itself
     count, certs = count_min_certificates(d, t, Modified())
-    assert count == d
+    assert (count, certs[0].size) == leading_term(t, d, Modified())
     assert all(classify(c) == "canonical" for c in certs)
     sites = enumerate_ball(d, t).sites
     lines = {frozenset(s for s in sites if not any(s[:axis] + s[axis + 1:])) for axis in range(d)}
