@@ -254,9 +254,10 @@ def test_combination_blocks_are_lexicographic():
             blocks = list(sweep.combination_blocks(n, u, rows))
             assert all(len(b) == rows for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= rows
             assert [tuple(r) for b in blocks for r in b.tolist()] == list(combinations(range(n), u))
-    # past 64 sites, where a prefix's tail spans several words: C(n, u)
-    # increasing rows within range(n), rising lexicographically across
-    # blocks from range(u) to range(n - u, n), force the sequence
+    # the size-major prefixes of B_2 in d = 6 at size 6 and of B_3 in d = 3
+    # at size 7, too many for itertools: C(n, u) increasing rows within
+    # range(n), rising lexicographically across blocks from range(u) to
+    # range(n - u, n), force the sequence
     rows = sweep._PREFIX_BLOCK
     for n, u in [(84, 4), (62, 5)]:
         sizes, prev = [], np.arange(-1, u - 1)[np.newaxis]  # one row below range(u)
@@ -424,7 +425,7 @@ def test_modified_certificates_are_axis_columns():
     assert {c.uninfected for c in certs} == expected
 
 
-# (5,2) and (6,2) have 60 and 84 other sites, past 2^26 masks, so the
+# (5,2) and (6,2) have 60 and 84 other sites, 2^60 and 2^84 masks, so the
 # size-major sweep answers, its tails spanning two words at (6,2)
 @pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2)])
 def test_modified_minimal_certificates_classify_canonical(d, t):
