@@ -32,13 +32,15 @@ SAMPLER_MAX_BATCHES = 10_000  # sample_protected_configs gives up after this man
 
 
 class WorkBudgetExceeded(Exception):
-    """Raised when an enumeration would exceed the configured work budget."""
+    """Raised when an enumeration would exceed the configured work budget;
+    at_least marks an estimate that is only a lower bound."""
 
-    def __init__(self, estimate: int, budget: int):
+    def __init__(self, estimate: int, budget: int, *, at_least: bool = False):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"enumeration needs ~{_magnitude(estimate)} subset tests, budget is {_magnitude(budget)}"
+            f"enumeration needs {'at least ' if at_least else '~'}{_magnitude(estimate)} subset tests,"
+            f" budget is {_magnitude(budget)}"
         )
 
 
@@ -265,6 +267,11 @@ def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: 
             raise ValueError(f"offset must have d = {d} coordinates, got {len(offset)}")
         if all(c == 0 for c in offset):
             raise ValueError("offset must be nonzero")
+    # a ball's work exactly, and a lower bound on a union's, which holds B_t
+    # and one more site, two of them targets: checked before the union is built
+    floor = 1 << (ball_size(d, t) - 1)
+    if floor > budget:
+        raise WorkBudgetExceeded(floor, budget, at_least=offset is not None)
     work = sweep.mask_work(d, t, offset)
     if work > budget:
         raise WorkBudgetExceeded(work, budget)

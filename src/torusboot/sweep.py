@@ -5,7 +5,9 @@ per word, one subset per bit (the bit-slicing of Biham 1997, "A fast new DES
 implementation in software").  The rules are bitwise expressions over the
 neighbours' planes, shared with the torus step in dynamics, and step s
 updates only the sites within distance steps - s of a target, the only
-ones the targets' final states depend on.
+ones the targets' final states depend on.  A domain sorts its sites by
+distance to the nearest target, so the k targets are its first sites and
+each step updates a prefix of the rest.
 
 Infection is monotone, so a subset that leaves a target infected at time 0
 never protects it.  Both feeds therefore fix every target's plane to
@@ -24,6 +26,7 @@ sweep, so the package's other users never load it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,64 +45,62 @@ _PREFIX_BLOCK = 1 << 13
 
 
 class Domain(NamedTuple):
-    """A finite site list with infected exterior, its target sites, and the
-    light cone of the targets.
+    """A finite site list with infected exterior, sorted by (distance to the
+    nearest target, norm, coordinates), and the light cone of its targets.
 
-    cone[s - 1] lists the sites updated at step s, those within distance
-    steps - s of a target, each with its 2d neighbours (+e_1, -e_1, ...).
-    The sites hold the radius-steps ball around every target, so no
-    neighbour of a cone site lies in the exterior.  others lists the
-    non-target sites in increasing order: the only sites whose subsets the
-    feeds enumerate.
+    The k targets are sites 0..k-1, and rows[x] lists site x's 2d neighbours
+    (+e_1, -e_1, ...).  Step s updates the sites within distance
+    len(cone) - s of a target: the first cone[s - 1] sites.  The sites hold
+    the radius-len(cone) ball around every target, so no neighbour of a cone
+    site lies in the exterior.
     """
 
     sites: tuple[Site, ...]
-    targets: tuple[int, ...]
-    cone: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    others: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    cone: tuple[int, ...]
+    k: int
+
+
+def _distance(s: Site, offset: Site | None) -> int:
+    """l1 distance from s to the nearer of the origin and offset."""
+    if offset is None:
+        return l1_norm(s)
+    return min(l1_norm(s), sum(abs(c - o) for c, o in zip(s, offset)))
 
 
 @lru_cache(maxsize=None)
 def domain_sites(d: int, t: int, offset: Site | None = None) -> tuple[Site, ...]:
-    """B_t(0), or B_t(0) union B_t(offset), sorted by (norm, coordinates)."""
+    """B_t(0), or B_t(0) union B_t(offset), sorted by (distance to the nearer
+    centre, norm, coordinates): enumerate_ball's order for a ball, and the
+    origin then the offset first for a union."""
     ball = enumerate_ball(d, t)
     if offset is None:
         return ball.sites
     shifted = [tuple(c + o for c, o in zip(s, offset)) for s in ball.sites]
-    return tuple(sorted(set(ball.sites) | set(shifted), key=lambda s: (l1_norm(s), s)))
+    return tuple(sorted(set(ball.sites) | set(shifted), key=lambda s: (_distance(s, offset), l1_norm(s), s)))
 
 
 @lru_cache(maxsize=None)
 def domain(d: int, t: int, offset: Site | None = None) -> Domain:
     """domain_sites(d, t, offset) with its centres as targets, evolved t steps."""
     sites = domain_sites(d, t, offset)
-    targets = ((0,) * d,) if offset is None else ((0,) * d, offset)
     nbr = dynamics._ball_neighbor_matrix(d, t) if offset is None else dynamics.neighbor_matrix(sites)
-    dist = [min(sum(abs(a - b) for a, b in zip(s, g)) for g in targets) for s in sites]
-    rows = [tuple(r) for r in nbr.tolist()]
-    cone = tuple(
-        tuple((x, rows[x]) for x in range(len(sites)) if dist[x] <= t - step)
-        for step in range(1, t + 1)
-    )
-    if any(len(sites) in row for layer in cone for _, row in layer):
+    dist = [_distance(s, offset) for s in sites]
+    cone = tuple(bisect_right(dist, t - step) for step in range(1, t + 1))
+    if (nbr[: cone[0] if cone else 0] == len(sites)).any():
         raise AssertionError("a light-cone site has a neighbour outside the domain")
-    index_of = {s: i for i, s in enumerate(sites)}
-    target_index = tuple(index_of[g] for g in targets)
-    others = tuple(x for x in range(len(sites)) if x not in target_index)
-    return Domain(sites=sites, targets=target_index, cone=cone, others=others)
+    return Domain(sites=sites, rows=tuple(map(tuple, nbr.tolist())), cone=cone, k=1 if offset is None else 2)
 
 
 def evolve_planes(planes: list[np.ndarray], dom: Domain, rule: Rule) -> list[np.ndarray]:
-    """Uninfected planes of the target sites after len(dom.cone) steps.
+    """Uninfected planes of the k targets after len(dom.cone) steps.
 
     planes[j] holds site j's initial uninfected bits and is not modified.
     """
     current = list(planes)
-    for layer in dom.cone:
-        updated = [_stays_uninfected(current, x, row, rule) for x, row in layer]
-        for (x, _), plane in zip(layer, updated):
-            current[x] = plane
-    return [current[g] for g in dom.targets]
+    for size in dom.cone:
+        current[:size] = [_stays_uninfected(current, x, row, rule) for x, row in zip(range(size), dom.rows)]
+    return current[: dom.k]
 
 
 def protects(planes: list[np.ndarray], dom: Domain, rule: Rule) -> np.ndarray:
@@ -130,7 +131,8 @@ class Sweep(NamedTuple):
 
 
 def mask_work(d: int, t: int, offset: Site | None = None) -> int:
-    """2^(n-k), the subsets mask_sweep evolves on domain(d, t, offset), from closed forms."""
+    """2^(n-k), the subsets mask_sweep evolves on domain(d, t, offset): a
+    closed form for a ball, the union's sites counted for two balls."""
     if offset is None:
         return 1 << (ball_size(d, t) - 1)
     return 1 << (len(domain_sites(d, t, offset)) - 2)
@@ -138,16 +140,16 @@ def mask_work(d: int, t: int, offset: Site | None = None) -> int:
 
 def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
     """All 2^n subsets, of which only the 2^(n-k) that hold the k targets are
-    evolved: bit j of mask m says site dom.others[j] is uninfected, and the
-    targets always are.
+    evolved: bit j of mask m says site k + j is uninfected, and the targets
+    always are.
 
     The low 6 bits of m are its lane in a word, so their planes are fixed
     patterns; the higher bits are constant within a word.  Words are evolved
     in chunks of 2^_CHUNK_BITS, and the sizes of the hits are counted per
     word as popcount(word index) plus the popcount of the lane plus k.
     """
-    n, free = len(dom.sites), len(dom.others)
-    k = n - free
+    n, k = len(dom.sites), dom.k
+    free = n - k
     low, by_popcount = _lane_tables()
     n_low = min(free, _LOW_BITS)
     chunk_bits = min(free - n_low, _CHUNK_BITS)
@@ -162,10 +164,7 @@ def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
     counts = np.zeros(n + _LOW_BITS + 1, dtype=np.int64)
     best, found = n + 1, []
     for chunk in range(1 << high_bits):
-        planes = [ones] * n  # the targets' planes stay all-ones
-        free_planes = fixed + [ones if chunk >> b & 1 else zeros for b in range(high_bits)]
-        for x, plane in zip(dom.others, free_planes):
-            planes[x] = plane
+        planes = [ones] * k + fixed + [ones if chunk >> b & 1 else zeros for b in range(high_bits)]
         good = protects(planes, dom, rule) & valid
         sel = np.flatnonzero(good)
         if not sel.size:
@@ -183,9 +182,7 @@ def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
         base = (chunk << chunk_bits) + sel[word[w]]
         found.append((base.astype(np.int64) << n_low) | lane)
     masks = np.concatenate(found).tolist()
-    hits = sorted(
-        tuple(sorted(dom.targets + tuple(x for j, x in enumerate(dom.others) if m >> j & 1))) for m in masks
-    )
+    hits = sorted(tuple(range(k)) + tuple(k + j for j in range(free) if m >> j & 1) for m in masks)
     return Sweep(min_size=best, hits=tuple(hits), counts=tuple(int(c) for c in counts[: n + 1]))
 
 
@@ -223,9 +220,9 @@ def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
     """The size-u subsets of the domain that protect every target, in
     lexicographic order.
 
-    Only the subsets that hold the k targets are evolved: s = u - k of the
-    m non-target sites join them.  Each (s-1)-prefix of indices into
-    dom.others, ending at a (a = -1 for the empty prefix), gets
+    Only the subsets that hold the targets 0..k-1 are evolved: s = u - k of
+    the m sites after them join them, site k + j as index j.  Each
+    (s-1)-prefix of indices, ending at a (a = -1 for the empty prefix), gets
     ceil((m-1-a)/64) words; lane l of its c-th word is the prefix with
     a + 1 + 64c + l added, and lanes past m - 1 are invalid.  A prefix
     site's plane is its word's valid-lane mask, a tail site's plane the bit
@@ -233,21 +230,16 @@ def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
     plane the valid-lane mask, so no invalid lane holds a target and none
     protects, and every other plane 0.  At s = 0 one word with one lane
     holds the targets alone.  Prefixes come in lexicographic order and the
-    tail rises along the lanes, so the hits do too; they stay lexicographic
-    once the targets are added, since adding the same set to two sets of
-    one size leaves their symmetric difference as it was.
+    tail rises along the lanes, so the hits, range(k) followed by the
+    indices shifted by k, do too.
     """
-    n, k, m = len(dom.sites), len(dom.targets), len(dom.others)
-    s = u - k
+    k = dom.k
+    m, s, head = len(dom.sites) - k, u - k, tuple(range(k))
     if not 0 <= s <= m:
         return []
     if s == 0:  # one word with one lane: the targets alone
-        planes = [np.zeros(1, dtype=np.uint64)] * n
-        for g in dom.targets:
-            planes[g] = np.ones(1, dtype=np.uint64)
-        return [tuple(sorted(dom.targets))] if protects(planes, dom, rule)[0] else []
-    others = np.array(dom.others, dtype=np.int64)
-    targets = np.array(dom.targets, dtype=np.int64)
+        planes = [np.ones(1, dtype=np.uint64)] * k + [np.zeros(1, dtype=np.uint64)] * m
+        return [head] if protects(planes, dom, rule)[0] else []
     hits: list[tuple[int, ...]] = []
     for prefixes in combination_blocks(m, s - 1, _PREFIX_BLOCK):
         last = prefixes[:, -1] if s > 1 else np.full(len(prefixes), -1)
@@ -257,18 +249,14 @@ def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
         start = last[owner] + 1 + 64 * (word - np.repeat(np.cumsum(n_words) - n_words, n_words))
         valid = ~np.uint64(0) >> (64 - np.minimum(m - start, 64)).astype(np.uint64)
         block = np.arange(m, dtype=np.uint64)[:, np.newaxis] - start.astype(np.uint64)
-        # site j's bit j - start, 0 outside the word's lanes (j < start wraps past 63)
+        # index j's bit j - start, 0 outside the word's lanes (j < start wraps past 63)
         np.left_shift(np.uint64(1), block, out=block)
         block[prefixes[owner], word[:, np.newaxis]] = valid[:, np.newaxis]
-        planes = [valid] * n  # the targets' planes
-        for x, plane in zip(dom.others, block):
-            planes[x] = plane
-        good = protects(planes, dom, rule)
+        good = protects([valid] * k + list(block), dom, rule)
         sel = np.flatnonzero(good)
         if not sel.size:
             continue
         w, lane_hit = np.nonzero(lane_bits(good[sel]))
-        chosen = np.column_stack([prefixes[owner[sel[w]]], start[sel[w]] + lane_hit])
-        rows = np.column_stack([others[chosen], np.broadcast_to(targets, (len(w), k))])
-        hits += map(tuple, np.sort(rows, axis=1).tolist())
+        chosen = np.column_stack([prefixes[owner[sel[w]]], start[sel[w]] + lane_hit]) + k
+        hits += [head + tuple(row) for row in chosen.tolist()]
     return hits

@@ -157,6 +157,10 @@ def test_extremal_refuses_a_mask_count_beyond_decimal_printing(capsys):
     # subsets that hold the origin, a 4,402-digit number
     assert run(["extremal", "rho1", "--d", "2", "--t", "85"]) == 3
     assert "2^14620" in capsys.readouterr().err
+    # B_600 has 721,201 sites, so its union with B_600((1, 0)) holds at least
+    # 721,202, two of them targets: refused from that bound before it is built
+    assert run(["extremal", "joint", "--d", "2", "--t", "600", "--offset", "1,0"]) == 3
+    assert "needs at least 2^721200 subset tests" in capsys.readouterr().err
 
 
 def test_extremal_size_major_refusal_is_pinned(capsys):

@@ -116,7 +116,7 @@ def spy_on_feeds(monkeypatch):
 
     def spy_protects(planes, dom, rule):
         lanes = np.stack([dynamics.lane_bits(plane).ravel() for plane in planes], axis=1)
-        holding = lanes[lanes[:, list(dom.targets)].all(axis=1)]
+        holding = lanes[lanes[:, : dom.k].all(axis=1)]
         subsets.update(map(bytes, np.packbits(holding, axis=1)))
         held.append(len(holding))
         return protects(planes, dom, rule)
@@ -214,7 +214,7 @@ def reference_layers(dom, t, rule):
     n = len(dom.sites)
     uninf = np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1 == 1
     final = evolve_boolean(uninf, dynamics.neighbor_matrix(dom.sites), rule, steps=t)
-    masks = np.flatnonzero(final[:, list(dom.targets)].all(axis=1)).tolist()
+    masks = np.flatnonzero(final[:, : dom.k].all(axis=1)).tolist()
     hits = sorted(tuple(j for j in range(n) if m >> j & 1) for m in masks)
     return [[h for h in hits if len(h) == u] for u in range(n + 1)]
 
@@ -239,7 +239,7 @@ def test_both_feeds_match_the_boolean_reference_on_all_subsets(monkeypatch, d, t
         min_size = next(u for u, hits in enumerate(layers) if hits)
         want = sweep.Sweep(min_size=min_size, hits=tuple(layers[min_size]), counts=tuple(map(len, layers)))
         assert sweep.mask_sweep(dom, rule) == want, rule
-        for u, hits in enumerate(layers):  # includes u < len(dom.targets)
+        for u, hits in enumerate(layers):  # includes u < dom.k
             assert sweep.size_layer_hits(dom, rule, u) == hits, (rule, u)
         if rule in (Modified(), Standard(d)):
             # one word per chunk, so the mask feed also steps through its high bits
@@ -290,12 +290,12 @@ def test_combination_blocks_are_lexicographic():
 )
 def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, offset, sizes, prefix_block):
     """Every lane that holds the targets, in the order the size-major feed
-    evolves them, is the next subset of itertools.combinations over
-    dom.others with the targets added, and its protection bit is the boolean
-    reference's; no other lane protects.  A prefix_block of 1 or 3 puts
-    block boundaries inside every layer."""
+    evolves them, is the next subset of itertools.combinations over the
+    non-target sites with the targets added, and its protection bit is the
+    boolean reference's; no other lane protects.  A prefix_block of 1 or 3
+    puts block boundaries inside every layer."""
     dom = sweep.domain(d, t, offset)
-    n, k = len(dom.sites), len(dom.targets)
+    n, k = len(dom.sites), dom.k
     nbr = dynamics.neighbor_matrix(dom.sites)
     if prefix_block is not None:
         monkeypatch.setattr(sweep, "_PREFIX_BLOCK", prefix_block)
@@ -306,7 +306,7 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
         good = protects(planes, dom, rule)
         lanes = np.stack([dynamics.lane_bits(plane).ravel() for plane in planes], axis=1)
         bits = dynamics.lane_bits(good).ravel()
-        holding = lanes[:, list(dom.targets)].all(axis=1)
+        holding = lanes[:, :k].all(axis=1)
         assert not bits[~holding].any()
         evolved.append((lanes[holding], bits[holding]))
         return good
@@ -315,11 +315,11 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
     for rule in (Modified(), Standard(d), Standard(2 * d)):
         for u in sizes:
             evolved.clear()
-            subsets = [sorted(dom.targets + c) for c in combinations(dom.others, u - k)] if u >= k else []
+            subsets = [list(range(k)) + list(c) for c in combinations(range(k, n), u - k)] if u >= k else []
             uninf = np.zeros((len(subsets), n), dtype=bool)
             for row, subset in zip(uninf, subsets):
                 row[subset] = True
-            want = evolve_boolean(uninf, nbr, rule, steps=t)[:, list(dom.targets)].all(axis=1)
+            want = evolve_boolean(uninf, nbr, rule, steps=t)[:, :k].all(axis=1)
             hits = sweep.size_layer_hits(dom, rule, u)
             lanes = np.concatenate([held for held, _ in evolved] + [np.zeros((0, n), dtype=bool)])
             bits = np.concatenate([good for _, good in evolved] + [np.zeros(0, dtype=bool)])
@@ -554,12 +554,58 @@ def test_exact_joint_counts_pinned_on_union_bound_offsets():
         assert exact_joint(2, 1, off).counts == JOINT_2_1[tuple(sorted(map(abs, off)))], off
 
 
+def test_joint_refuses_from_a_lower_bound_before_building_the_union(monkeypatch):
+    def no_union(*args):
+        raise AssertionError("the union was built")
+
+    monkeypatch.setattr(sweep, "domain_sites", no_union)
+    # B_600 has 721,201 sites, and the union at least one more, two of them targets
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        exact_joint(2, 600, (1, 0))
+    assert exc.value.estimate == 1 << 721_200
+    assert str(exc.value) == "enumeration needs at least 2^721200 subset tests, budget is 100000000"
+    # B_1 has 5 sites: 2^4 = 16 is a lower bound for a union and exact for the ball
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        exact_joint(2, 1, (1, 0), budget=15)
+    assert str(exc.value) == "enumeration needs at least 16 subset tests, budget is 15"
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        exact_rho1(2, 1, budget=15)
+    assert str(exc.value) == "enumeration needs ~16 subset tests, budget is 15"
+
+
+# the reference domains, larger balls, and every dependency offset at (2,2)
+ORDER_DOMAINS = REFERENCE_DOMAINS + [(2, 3, None), (3, 2, None), (4, 2, None)] + [
+    (2, 2, offset) for offset in dependency_offsets(2, 2)
+]
+
+
+@pytest.mark.parametrize("d,t,offset", ORDER_DOMAINS, ids=str)
+def test_domain_puts_the_targets_first_and_each_step_on_a_prefix(d, t, offset):
+    dom = sweep.domain(d, t, offset)
+    n = len(dom.sites)
+    centres = [(0,) * d] if offset is None else [(0,) * d, offset]
+    assert dom.k == len(centres) and list(dom.sites[: dom.k]) == centres
+    dist = [min(sum(abs(a - b) for a, b in zip(s, g)) for g in centres) for s in dom.sites]
+    keys = [(r, l1_norm(s), s) for r, s in zip(dist, dom.sites)]
+    assert keys == sorted(keys) and len(set(dom.sites)) == n
+    assert dom.cone == tuple(sum(r <= t - step for r in dist) for step in range(1, t + 1))
+    nbr = dynamics.neighbor_matrix(dom.sites)
+    np.testing.assert_array_equal(np.array(dom.rows, dtype=np.int64).reshape(n, 2 * d), nbr)
+    assert (nbr[: dom.cone[0] if dom.cone else 0] < n).all()  # no cone row reaches the sentinel
+    ball = enumerate_ball(d, t).sites
+    if offset is None:
+        assert dom.sites == ball
+    else:
+        shifted = {tuple(c + o for c, o in zip(s, offset)) for s in ball}
+        assert set(dom.sites) == set(ball) | shifted
+
+
 def test_light_cone_sizes():
     # site-updates per step: B_(t-s) around the origin, not the whole ball
-    assert [len(layer) for layer in sweep.domain(4, 2).cone] == [9, 1]
-    assert [len(layer) for layer in sweep.domain(3, 2).cone] == [7, 1]
-    assert [len(layer) for layer in sweep.domain(2, 3).cone] == [13, 5, 1]
-    assert [len(layer) for layer in sweep.domain(2, 2, (2, 1)).cone] == [10, 2]
+    assert sweep.domain(4, 2).cone == (9, 1)
+    assert sweep.domain(3, 2).cone == (7, 1)
+    assert sweep.domain(2, 3).cone == (13, 5, 1)
+    assert sweep.domain(2, 2, (2, 1)).cone == (10, 2)
 
 
 @st.composite
@@ -591,7 +637,7 @@ def test_packed_kernel_matches_boolean_reference(case):
     dom = sweep.domain(d, t, offset)
     uninf = np.random.default_rng(seed).random((rows, len(dom.sites))) < q
     nbr = dynamics.neighbor_matrix(dom.sites)
-    want = evolve_boolean(uninf, nbr, rule, steps=t)[:, list(dom.targets)]
+    want = evolve_boolean(uninf, nbr, rule, steps=t)[:, : dom.k]
     planes = sweep.evolve_planes(pack_sites(uninf.T), dom, rule)
     got = np.stack([dynamics.lane_bits(p).ravel()[:rows] for p in planes], axis=1)
     np.testing.assert_array_equal(got, want)
