@@ -17,10 +17,14 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, extremal, formulas, montecarlo, verify
+from . import __version__, extremal, formulas, verify
 from .dynamics import Modified, Rule, Standard, check_rule
 from .lattice import MAX_BALL_SITES, ball_size
+
+if TYPE_CHECKING:
+    from . import montecarlo
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,6 +37,8 @@ class SchemaError(Exception):
 
 
 def _default_threads() -> int:
+    from . import montecarlo  # loaded by the first experiment, not with the package
+
     raw = os.environ.get("TORUSBOOT_THREADS", "1")
     try:
         value = int(raw)
@@ -54,6 +60,11 @@ def _parse_rule(tag: str, d: int, r: int | None) -> Rule:
     if tag == "modified" and r is not None:
         raise SchemaError(f"r: the modified rule takes no threshold, got r={r}")
     return rule
+
+
+def _refuse(exc: Exception) -> int:
+    print(f"refused: {exc}", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def _timestamp() -> str:
@@ -249,6 +260,8 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
 
     extras carries the measurement plan: measure list, t_measure, lambda.
     """
+    from . import montecarlo
+
     if not isinstance(doc, dict):
         raise SchemaError("config: expected a JSON object")
     for key, value in doc.items():
@@ -296,6 +309,8 @@ def load_experiment_config(doc: dict) -> tuple[montecarlo.ExperimentConfig, dict
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from . import montecarlo
+
     started = _timestamp()
     try:
         doc = json.loads(Path(args.config).read_text())
@@ -308,12 +323,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     measure, t = extras["measure"], extras["t_measure"]
     dist_t = dist_f = None
-    if "T" in measure and "F" in measure:
-        dist_t, dist_f = montecarlo.run_trials(config, t)  # one run per trial gives both
-    elif "T" in measure:
-        dist_t = montecarlo.run_trials_T(config)
-    elif "F" in measure:
-        dist_f = montecarlo.run_trials_F(config, t)
+    try:
+        if "T" in measure and "F" in measure:
+            dist_t, dist_f = montecarlo.run_trials(config, t)  # one run per trial gives both
+        elif "T" in measure:
+            dist_t = montecarlo.run_trials_T(config)
+        elif "F" in measure:
+            dist_f = montecarlo.run_trials_F(config, t)
+    except montecarlo.MemoryBudgetExceeded as exc:
+        return _refuse(exc)
 
     files: dict[str, str] = {}
     results: dict = {}
@@ -406,9 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (extremal.WorkBudgetExceeded, montecarlo.MemoryBudgetExceeded) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except extremal.WorkBudgetExceeded as exc:
+        return _refuse(exc)
 
 
 if __name__ == "__main__":

@@ -170,7 +170,9 @@ def torus_run(infected: np.ndarray, rule: Rule, max_steps: int | None = None) ->
 
 @lru_cache(maxsize=None)
 def _ball_neighbor_matrix(d: int, t: int) -> np.ndarray:
-    return neighbor_matrix(enumerate_ball(d, t).sites)
+    nbr = neighbor_matrix(enumerate_ball(d, t).sites)
+    nbr.flags.writeable = False  # shared by every caller
+    return nbr
 
 
 @lru_cache(maxsize=None)

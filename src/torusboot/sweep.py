@@ -117,7 +117,10 @@ def _lane_tables() -> tuple[np.ndarray, np.ndarray]:
     lanes whose bit j is set; by_popcount[k] the lanes with k bits set."""
     low = [sum(1 << p for p in range(64) if p >> j & 1) for j in range(_LOW_BITS)]
     by_popcount = [sum(1 << p for p in range(64) if p.bit_count() == k) for k in range(_LOW_BITS + 1)]
-    return np.array(low, dtype=np.uint64), np.array(by_popcount, dtype=np.uint64)
+    tables = np.array(low, dtype=np.uint64), np.array(by_popcount, dtype=np.uint64)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
 
 
 class Sweep(NamedTuple):

@@ -11,12 +11,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import dynamics, extremal, formulas, montecarlo
+from . import dynamics, extremal, formulas
 from .dynamics import Modified, Standard
 from .lattice import dependency_offsets, enumerate_ball, l1_norm
+
+if TYPE_CHECKING:
+    from . import montecarlo
 
 # Fixed so the statistical criteria are reproducible decisions, not coin
 # flips: the true TV in the Poisson regime is ~0.048, right at the 0.05
@@ -256,6 +260,8 @@ def regime_run(
     """One seeded run of the statistical criteria: a REGIME_RUNS histogram,
     or "pairs", 500 coupled (T(0.1), T(0.2)) pairs at n = 128.  The seed is
     MASTER_SEED plus the run's offset, so the thread count never changes it."""
+    from . import montecarlo  # loaded on the first run, not with the package
+
     if name == "pairs":
         config = montecarlo.ExperimentConfig(
             d=2, n=128, rule=Standard(2), q=0.2, t_horizon=2,
@@ -273,6 +279,8 @@ def regime_run(
 def criterion_poisson() -> CriterionReport:
     """TV distance between the empirical F_2 distribution and Po(lambda_exact),
     and the Barbour-Eagleson bound on it from exact rho1/rho2 inputs."""
+    from . import montecarlo
+
     rep = CriterionReport("Poisson approximation: TV(empirical F_2, Po(lambda_exact)) <= 0.05", True)
     lam = lambda_exact_standard()
     dist = regime_run("F", THREADS)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,27 @@ def make_config(tmp_path, **overrides):
     return path
 
 
+def test_montecarlo_module_loads_on_the_first_experiment(tmp_path):
+    # the key-lemma suite and the commands that run no trials leave the
+    # Monte Carlo stack unloaded, along with its pool and statistics imports
+    code = (
+        "import sys\n"
+        "import torusboot.cli, torusboot.verify\n"
+        "from torusboot import cli, verify\n"
+        "unloaded = ('torusboot.montecarlo', 'concurrent.futures', 'statistics')\n"
+        "assert verify.criterion_key_lemma(total=6).passed\n"
+        "for argv in (['formulas', 'm', '--d', '2', '--t', '2'], ['extremal', 'min', '--d', '2', '--t', '1'],\n"
+        "             ['verify', 'formulas']):\n"
+        "    assert cli.main(argv) == 0\n"
+        "assert not [m for m in unloaded if m in sys.modules], [m for m in unloaded if m in sys.modules]\n"
+        f"assert cli.main(['experiment', {str(make_config(tmp_path))!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "assert 'torusboot.montecarlo' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_experiment_outputs_and_determinism(tmp_path):
     cfg = make_config(tmp_path, measure=["T", "F"], t_measure=2)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -302,7 +327,7 @@ def test_experiment_too_large_for_memory_is_refused(tmp_path, capsys, monkeypatc
     def no_draws(*args):
         raise AssertionError("a refused experiment drew uniforms")
 
-    monkeypatch.setattr(cli.montecarlo, "_draw_grids", no_draws)
+    monkeypatch.setattr(montecarlo, "_draw_grids", no_draws)
     monkeypatch.setenv("TORUSBOOT_THREADS", "1")
     cfg = make_config(tmp_path, **overrides)
     assert run(["experiment", str(cfg), "--out", str(tmp_path / "o")]) == 3

@@ -182,6 +182,13 @@ def test_sweep_module_loads_on_the_first_sweep():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cached_tables_are_read_only():
+    # every caller shares one cached array, so none may write into it
+    for table in (dynamics._ball_neighbor_matrix(2, 2), *sweep._lane_tables()):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 @pytest.mark.parametrize(
     "d,t,rule,offset",
     [

@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -240,6 +241,12 @@ def test_estimate_wilson_interval():
     assert est.ci_low < 0.135 < est.ci_high
     zero = mc.estimate_P_T_le_t(dist, 1)
     assert zero.point == 0.0 and zero.ci_high > 0.0
+
+
+def test_wilson_z_is_the_normal_quantile():
+    # estimate_P_T_le_t's 95% interval uses the exact 0.975 quantile, so
+    # report.json keeps the bytes it had when z was computed per call
+    assert mc._Z_95 == NormalDist().inv_cdf(0.975)
 
 
 def test_estimate_monotone_in_q():

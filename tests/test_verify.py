@@ -174,9 +174,9 @@ def runner_calls(monkeypatch):
         calls.append(("coupled_monotonicity", cfg.threads))
         return [(cfg.master_seed, cfg.master_seed)]
 
-    monkeypatch.setattr(verify.montecarlo, "run_trials_F", histogram("run_trials_F"))
-    monkeypatch.setattr(verify.montecarlo, "run_trials_T", histogram("run_trials_T"))
-    monkeypatch.setattr(verify.montecarlo, "coupled_monotonicity", pairs)
+    monkeypatch.setattr(montecarlo, "run_trials_F", histogram("run_trials_F"))
+    monkeypatch.setattr(montecarlo, "run_trials_T", histogram("run_trials_T"))
+    monkeypatch.setattr(montecarlo, "coupled_monotonicity", pairs)
     verify.regime_run.cache_clear()
     yield calls
     verify.regime_run.cache_clear()
