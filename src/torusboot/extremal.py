@@ -163,11 +163,12 @@ def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
     from . import sweep
 
     dynamics.check_rule(rule, d)
-    if sweep.mask_work(d, t) <= budget:
+    n = ball_size(d, t)
+    if 1 << (n - 1) <= budget:  # the masks that hold the origin
         return _mask_sweep(d, t, rule, None)
     work = 0
-    for u in range(ball_size(d, t) + 1):
-        work += sweep.layer_work(d, t, u)
+    for u in range(n + 1):
+        work += math.comb(n - 1, u - 1) if u else 0  # the size-u subsets that hold the origin
         if work > budget:
             raise WorkBudgetExceeded(work, budget)
         hits = _layer_hits(d, t, rule, u)
@@ -269,12 +270,13 @@ def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: 
             raise ValueError("offset must be nonzero")
     # a ball's work exactly, and a lower bound on a union's, which holds B_t
     # and one more site, two of them targets: checked before the union is built
-    floor = 1 << (ball_size(d, t) - 1)
-    if floor > budget:
-        raise WorkBudgetExceeded(floor, budget, at_least=offset is not None)
-    work = sweep.mask_work(d, t, offset)
+    work = 1 << (ball_size(d, t) - 1)
     if work > budget:
-        raise WorkBudgetExceeded(work, budget)
+        raise WorkBudgetExceeded(work, budget, at_least=offset is not None)
+    if offset is not None:
+        work = 1 << (len(sweep.domain(d, t, offset).sites) - 2)
+        if work > budget:
+            raise WorkBudgetExceeded(work, budget)
     counts = _mask_sweep(d, t, rule, offset).counts
     return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, offset=offset)
 

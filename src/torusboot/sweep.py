@@ -61,32 +61,23 @@ class Domain(NamedTuple):
     k: int
 
 
-def _distance(s: Site, offset: Site | None) -> int:
-    """l1 distance from s to the nearer of the origin and offset."""
-    if offset is None:
-        return l1_norm(s)
-    return min(l1_norm(s), sum(abs(c - o) for c, o in zip(s, offset)))
-
-
-@lru_cache(maxsize=None)
-def domain_sites(d: int, t: int, offset: Site | None = None) -> tuple[Site, ...]:
-    """B_t(0), or B_t(0) union B_t(offset), sorted by (distance to the nearer
-    centre, norm, coordinates): enumerate_ball's order for a ball, and the
-    origin then the offset first for a union."""
-    ball = enumerate_ball(d, t)
-    if offset is None:
-        return ball.sites
-    shifted = [tuple(c + o for c, o in zip(s, offset)) for s in ball.sites]
-    return tuple(sorted(set(ball.sites) | set(shifted), key=lambda s: (_distance(s, offset), l1_norm(s), s)))
-
-
 @lru_cache(maxsize=None)
 def domain(d: int, t: int, offset: Site | None = None) -> Domain:
-    """domain_sites(d, t, offset) with its centres as targets, evolved t steps."""
-    sites = domain_sites(d, t, offset)
-    nbr = dynamics._ball_neighbor_matrix(d, t) if offset is None else dynamics.neighbor_matrix(sites)
-    dist = [_distance(s, offset) for s in sites]
-    cone = tuple(bisect_right(dist, t - step) for step in range(1, t + 1))
+    """B_t(0) with the origin as target, or B_t(0) union B_t(offset) with
+    the origin then the offset as targets, evolved t steps.  A ball keeps
+    enumerate_ball's order; a union is sorted by (distance to the nearer
+    centre, norm, coordinates)."""
+    ball = enumerate_ball(d, t).sites
+    if offset is None:
+        sites, nbr = ball, dynamics._ball_neighbor_matrix(d, t)
+        cone = tuple(ball_size(d, t - step) for step in range(1, t + 1))  # step s updates B_(t-s)
+    else:
+        union = set(ball).union(tuple(c + o for c, o in zip(s, offset)) for s in ball)
+        near = {s: min(l1_norm(s), sum(abs(c - o) for c, o in zip(s, offset))) for s in union}
+        sites = tuple(sorted(near, key=lambda s: (near[s], l1_norm(s), s)))
+        nbr = dynamics.neighbor_matrix(sites)
+        dist = [near[s] for s in sites]
+        cone = tuple(bisect_right(dist, t - step) for step in range(1, t + 1))
     if (nbr[: cone[0] if cone else 0] == len(sites)).any():
         raise AssertionError("a light-cone site has a neighbour outside the domain")
     return Domain(sites=sites, rows=tuple(map(tuple, nbr.tolist())), cone=cone, k=1 if offset is None else 2)
@@ -131,14 +122,6 @@ class Sweep(NamedTuple):
     min_size: int
     hits: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...] | None = None
-
-
-def mask_work(d: int, t: int, offset: Site | None = None) -> int:
-    """2^(n-k), the subsets mask_sweep evolves on domain(d, t, offset): a
-    closed form for a ball, the union's sites counted for two balls."""
-    if offset is None:
-        return 1 << (ball_size(d, t) - 1)
-    return 1 << (len(domain_sites(d, t, offset)) - 2)
 
 
 def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
@@ -210,13 +193,6 @@ def combination_blocks(n: int, u: int, rows: int):
             rank -= binom[j, c]
             block[:, col] = n - 1 - c
         yield block
-
-
-def layer_work(d: int, t: int, u: int) -> int:
-    """C(n-1, u-1), the subsets size_layer_hits evolves at size u on
-    domain(d, t): the valid lanes it fills, not the invalid ones past the
-    last non-target site, which hold no target.  0 at u = 0."""
-    return math.comb(ball_size(d, t) - 1, u - 1) if u else 0
 
 
 def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:

@@ -234,7 +234,7 @@ REFERENCE_DOMAINS = [
     for d, t in [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 0), (2, 1), (2, 2),
                  (3, 0), (3, 1), (4, 0), (4, 1), (5, 1), (6, 1)]
     for offset in (None,) + dependency_offsets(d, t)
-    if len(sweep.domain_sites(d, t, offset)) <= 13
+    if len(sweep.domain(d, t, offset).sites) <= 13
 ]
 
 
@@ -562,15 +562,21 @@ def test_exact_joint_counts_pinned_on_union_bound_offsets():
 
 
 def test_joint_refuses_from_a_lower_bound_before_building_the_union(monkeypatch):
-    def no_union(*args):
-        raise AssertionError("the union was built")
+    def no_domain(*args):
+        raise AssertionError("a domain was built")
 
-    monkeypatch.setattr(sweep, "domain_sites", no_union)
+    monkeypatch.setattr(sweep, "domain", no_domain)
     # B_600 has 721,201 sites, and the union at least one more, two of them targets
     with pytest.raises(WorkBudgetExceeded) as exc:
         exact_joint(2, 600, (1, 0))
     assert exc.value.estimate == 1 << 721_200
     assert str(exc.value) == "enumeration needs at least 2^721200 subset tests, budget is 100000000"
+    # the ball's own floor is exact, and it too refuses before any domain is built
+    for oracle in (lambda: exact_rho1(2, 600), lambda: count_near_minimal(2, 600, 0)):
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            oracle()
+        assert exc.value.estimate == 1 << 721_200
+        assert "~2^721200 subset tests" in str(exc.value)
     # B_1 has 5 sites: 2^4 = 16 is a lower bound for a union and exact for the ball
     with pytest.raises(WorkBudgetExceeded) as exc:
         exact_joint(2, 1, (1, 0), budget=15)
@@ -648,6 +654,25 @@ def test_packed_kernel_matches_boolean_reference(case):
     planes = sweep.evolve_planes(pack_sites(uninf.T), dom, rule)
     got = np.stack([dynamics.lane_bits(p).ravel()[:rows] for p in planes], axis=1)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "d,t", [(1, 0), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 2), (5, 1)]
+)
+def test_light_cone_over_every_site_leaves_the_protected_set(d, t):
+    """Step s of the origin's light cone updates only the sites of norm at
+    most t - s, so after t steps site x holds its state at time t - ||x||:
+    evolve_planes with every site a target returns protected_set.  257 rows
+    cross a word boundary."""
+    dom = sweep.domain(d, t)
+    every_site = dom._replace(k=len(dom.sites))
+    rng = np.random.default_rng(1000 * d + t)
+    for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]:
+        for q in (0.5, 0.8, 0.95):
+            rows = rng.random((257, len(dom.sites))) < q
+            planes = sweep.evolve_planes(pack_sites(rows.T), every_site, rule)
+            got = np.stack([dynamics.lane_bits(p).ravel()[:257] for p in planes], axis=1)
+            np.testing.assert_array_equal(got, dynamics.protected_set(rows, d, t, rule), err_msg=f"{rule} q={q}")
 
 
 def test_rho_polynomial_to_json():
