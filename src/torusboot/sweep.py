@@ -37,11 +37,11 @@ from .dynamics import Rule, _stays_uninfected, lane_bits
 from .lattice import Site, ball_size, enumerate_ball, l1_norm
 
 _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
-_CHUNK_BITS = 13  # a mask sweep evolves 2^13 words (2^19 masks) at a time
-# A size-major block holds at most _PREFIX_BLOCK prefixes, each with at most
-# ceil(m / 64) words over the m non-target sites, so its planes take at most
-# 2^16 * m * ceil(m / 64) bytes: 3.9 MiB at m = 62, 16 MiB at m = 128.
-_PREFIX_BLOCK = 1 << 13
+# The words per plane a sweep evolves at once: a mask-sweep chunk (2^17
+# masks), or the whole prefixes of a size-major block, whose m planes then
+# take at most m * 16 KiB: 992 KiB at m = 62, 2 MiB at m = 128.  A prefix
+# wider than the budget (m > 2^17) still gets a block of its own.
+_CHUNK_WORDS = 1 << 11
 
 
 class Domain(NamedTuple):
@@ -131,14 +131,14 @@ def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
 
     The low 6 bits of m are its lane in a word, so their planes are fixed
     patterns; the higher bits are constant within a word.  Words are evolved
-    in chunks of 2^_CHUNK_BITS, and the sizes of the hits are counted per
-    word as popcount(word index) plus the popcount of the lane plus k.
+    in chunks of at most _CHUNK_WORDS, and the sizes of the hits are counted
+    per word as popcount(word index) plus the popcount of the lane plus k.
     """
     n, k = len(dom.sites), dom.k
     free = n - k
     low, by_popcount = _lane_tables()
     n_low = min(free, _LOW_BITS)
-    chunk_bits = min(free - n_low, _CHUNK_BITS)
+    chunk_bits = min(free - n_low, _CHUNK_WORDS.bit_length() - 1)
     high_bits = free - n_low - chunk_bits
     words = np.arange(1 << chunk_bits, dtype=np.uint64)
     ones, zeros = np.full(words.size, ~np.uint64(0)), np.zeros(words.size, dtype=np.uint64)
@@ -208,9 +208,11 @@ def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
     of its lane (one shift over all of a block's words), every target's
     plane the valid-lane mask, so no invalid lane holds a target and none
     protects, and every other plane 0.  At s = 0 one word with one lane
-    holds the targets alone.  Prefixes come in lexicographic order and the
-    tail rises along the lanes, so the hits, range(k) followed by the
-    indices shifted by k, do too.
+    holds the targets alone.  A block takes as many whole prefixes as fit in
+    _CHUNK_WORDS words, at least one, and every block refills the front of
+    one buffer in place as its m planes.  Prefixes come in lexicographic
+    order and the tail rises along the lanes, so the hits, range(k)
+    followed by the indices shifted by k, do too.
     """
     k = dom.k
     m, s, head = len(dom.sites) - k, u - k, tuple(range(k))
@@ -219,16 +221,22 @@ def size_layer_hits(dom: Domain, rule: Rule, u: int) -> list[tuple[int, ...]]:
     if s == 0:  # one word with one lane: the targets alone
         planes = [np.ones(1, dtype=np.uint64)] * k + [np.zeros(1, dtype=np.uint64)] * m
         return [head] if protects(planes, dom, rule)[0] else []
+    widest = (m + 63) // 64  # the most words a prefix gets
+    rows = max(1, _CHUNK_WORDS // widest)
+    buffer = np.empty(m * rows * widest, dtype=np.uint64)
+    index = np.arange(m, dtype=np.uint64)[:, np.newaxis]
     hits: list[tuple[int, ...]] = []
-    for prefixes in combination_blocks(m, s - 1, _PREFIX_BLOCK):
+    for prefixes in combination_blocks(m, s - 1, rows):
         last = prefixes[:, -1] if s > 1 else np.full(len(prefixes), -1)
         n_words = (m - 1 - last + 63) // 64
         owner = np.repeat(np.arange(len(prefixes)), n_words)  # the prefix of each word
         word = np.arange(owner.size)
         start = last[owner] + 1 + 64 * (word - np.repeat(np.cumsum(n_words) - n_words, n_words))
         valid = ~np.uint64(0) >> (64 - np.minimum(m - start, 64)).astype(np.uint64)
-        block = np.arange(m, dtype=np.uint64)[:, np.newaxis] - start.astype(np.uint64)
+        # contiguous planes: a column slice of an (m, width) buffer strides, which slows every step
+        block = buffer[: m * owner.size].reshape(m, owner.size)
         # index j's bit j - start, 0 outside the word's lanes (j < start wraps past 63)
+        np.subtract(index, start.astype(np.uint64), out=block)
         np.left_shift(np.uint64(1), block, out=block)
         block[prefixes[owner], word[:, np.newaxis]] = valid[:, np.newaxis]
         good = protects([valid] * k + list(block), dom, rule)

@@ -175,6 +175,14 @@ def test_extremal_size_major_refusal_is_pinned(capsys):
     assert capsys.readouterr().err == "refused: enumeration needs ~68543140 subset tests, budget is 68543139\n"
 
 
+def test_extremal_min_modified_3_3_answers_from_the_size_major_sweep(capsys):
+    # the 63-site ball behind the refusal above, within the default budget:
+    # d = 3 axis lines of size 2t + 1 = 7, every one canonical
+    assert run(["extremal", "min", "--d", "3", "--t", "3", "--rule", "modified"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["size"], summary["count"], summary["canonical"], summary["other"]) == (7, 3, 3, 0)
+
+
 def test_extremal_min_modified_axis_lines_are_canonical(capsys):
     assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", "modified"]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -211,7 +212,7 @@ def test_size_major_and_mask_sweeps_agree(monkeypatch, d, t, rule, offset):
         assert len(sweep.size_layer_hits(dom, rule, u)) == full.counts[u]
     if len(dom.sites) <= 14:
         # one word per chunk, so the smallest size found falls during the sweep
-        monkeypatch.setattr(sweep, "_CHUNK_BITS", 0)
+        monkeypatch.setattr(sweep, "_CHUNK_WORDS", 1)
         assert sweep.mask_sweep(dom, rule) == full
 
 
@@ -251,7 +252,7 @@ def test_both_feeds_match_the_boolean_reference_on_all_subsets(monkeypatch, d, t
         if rule in (Modified(), Standard(d)):
             # one word per chunk, so the mask feed also steps through its high bits
             with monkeypatch.context() as patch:
-                patch.setattr(sweep, "_CHUNK_BITS", 0)
+                patch.setattr(sweep, "_CHUNK_WORDS", 1)
                 assert sweep.mask_sweep(dom, rule) == want, rule
 
 
@@ -264,9 +265,10 @@ def test_combination_blocks_are_lexicographic():
     # the size-major prefixes of B_2 in d = 6 at size 6 and of B_3 in d = 3
     # at size 7, too many for itertools: C(n, u) increasing rows within
     # range(n), rising lexicographically across blocks from range(u) to
-    # range(n - u, n), force the sequence
-    rows = sweep._PREFIX_BLOCK
+    # range(n - u, n), force the sequence; size_layer_hits asks for as many
+    # rows as fit in _CHUNK_WORDS at ceil(n / 64) words a row
     for n, u in [(84, 4), (62, 5)]:
+        rows = sweep._CHUNK_WORDS // -(-n // 64)
         sizes, prev = [], np.arange(-1, u - 1)[np.newaxis]  # one row below range(u)
         for block in sweep.combination_blocks(n, u, rows):
             assert ((0 <= block) & (block < n)).all() and (np.diff(block, axis=1) > 0).all()
@@ -282,32 +284,40 @@ def test_combination_blocks_are_lexicographic():
 
 
 @pytest.mark.parametrize(
-    "d,t,offset,sizes,prefix_block",
+    "d,t,offset,sizes,chunk_words,rows",
     [
-        (3, 4, None, range(1, 4), None),  # 128 others: a tail spans two words
-        (3, 4, None, range(1, 4), 3),
-        (3, 4, None, range(1, 3), 1),
-        (2, 2, None, range(0, 15), None),  # every size, and one past the domain
-        (2, 2, None, range(0, 15), 3),
-        (2, 2, None, (0, 1, 2, 3, 4, 11, 12, 13, 14), 1),  # blocks of one prefix
-        (2, 2, (1, 0), range(0, 5), None),  # two targets: nothing below u = 2, s = 0 at u = 2
-        (2, 2, (1, 0), range(0, 5), 1),
+        (3, 4, None, range(1, 4), None, 1024),  # 128 others: a tail spans two words
+        (3, 4, None, range(1, 4), 6, 3),
+        (3, 4, None, range(1, 3), 2, 1),
+        (3, 4, None, range(1, 3), 1, 1),  # below a 2-word tail: still one whole prefix
+        (2, 2, None, range(0, 15), None, 2048),  # every size, and one past the domain
+        (2, 2, None, range(0, 15), 3, 3),
+        (2, 2, None, (0, 1, 2, 3, 4, 11, 12, 13, 14), 1, 1),  # blocks of one prefix
+        (2, 2, (1, 0), range(0, 5), None, 2048),  # two targets: nothing below u = 2, s = 0 at u = 2
+        (2, 2, (1, 0), range(0, 5), 1, 1),
     ],
-    ids=["3-4", "3-4-block-3", "3-4-block-1", "2-2", "2-2-block-3", "2-2-block-1", "joint-2-2", "joint-2-2-block-1"],
+    ids=["3-4", "3-4-block-3", "3-4-block-1", "3-4-budget-1", "2-2", "2-2-block-3", "2-2-block-1",
+         "joint-2-2", "joint-2-2-block-1"],
 )
-def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, offset, sizes, prefix_block):
+def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, offset, sizes, chunk_words, rows):
     """Every lane that holds the targets, in the order the size-major feed
     evolves them, is the next subset of itertools.combinations over the
     non-target sites with the targets added, and its protection bit is the
-    boolean reference's; no other lane protects.  A prefix_block of 1 or 3
-    puts block boundaries inside every layer."""
+    boolean reference's; no other lane protects.  A budget of chunk_words
+    gives blocks of rows prefixes; 1 or 3 put block boundaries inside every
+    layer, and a shorter last block refills the same plane buffer."""
     dom = sweep.domain(d, t, offset)
     n, k = len(dom.sites), dom.k
     nbr = dynamics.neighbor_matrix(dom.sites)
-    if prefix_block is not None:
-        monkeypatch.setattr(sweep, "_PREFIX_BLOCK", prefix_block)
+    if chunk_words is not None:
+        monkeypatch.setattr(sweep, "_CHUNK_WORDS", chunk_words)
     evolved = []
     protects = sweep.protects
+    combination_blocks = sweep.combination_blocks
+
+    def spy_blocks(n, u, block_rows):
+        assert block_rows == rows
+        return combination_blocks(n, u, block_rows)
 
     def spy_protects(planes, dom, rule):
         good = protects(planes, dom, rule)
@@ -319,6 +329,7 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
         return good
 
     monkeypatch.setattr(sweep, "protects", spy_protects)
+    monkeypatch.setattr(sweep, "combination_blocks", spy_blocks)
     for rule in (Modified(), Standard(d), Standard(2 * d)):
         for u in sizes:
             evolved.clear()
@@ -333,6 +344,29 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
             np.testing.assert_array_equal(lanes, uninf)
             np.testing.assert_array_equal(bits, want)
             assert hits == [tuple(s) for s, good in zip(subsets, want) if good], (rule, u)
+
+
+@pytest.mark.parametrize(
+    "run,dom",
+    [
+        (lambda dom: sweep.size_layer_hits(dom, Modified(), 5), sweep.domain(4, 2)),
+        (lambda dom: sweep.mask_sweep(dom, Standard(2)), sweep.domain(2, 2, (2, 1))),
+    ],
+    ids=["size-major-4-2", "mask-joint-2-2"],
+)
+def test_sweeps_hold_a_bounded_working_set(run, dom):
+    """A sweep's numpy allocations peak within three planes' worth of
+    _CHUNK_WORDS words per site, so neither feed holds a whole layer: the
+    size-major run has 9,880 prefixes of one word over 41 sites, the mask
+    run 2^20 masks (2^14 words) over 22."""
+    run(dom)  # fills the cached lane tables, which outlive the call
+    tracemalloc.start()
+    try:
+        run(dom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(dom.sites) * sweep._CHUNK_WORDS * 8
 
 
 def test_count_certificates_2_2():
