@@ -315,9 +315,9 @@ def test_size_layer_lanes_are_the_combinations_bit_for_bit(monkeypatch, d, t, of
     protects = sweep.protects
     combination_blocks = sweep.combination_blocks
 
-    def spy_blocks(n, u, block_rows):
+    def spy_blocks(m, length, block_rows):
         assert block_rows == rows
-        return combination_blocks(n, u, block_rows)
+        return combination_blocks(m, length, block_rows)
 
     def spy_protects(planes, dom, rule):
         good = protects(planes, dom, rule)
