@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
-from typing import TYPE_CHECKING
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from . import dynamics
 from .dynamics import Modified, Rule, Standard
 from .formulas import ell
 from .lattice import Site, ball_size, enumerate_ball
-
-if TYPE_CHECKING:
-    from . import sweep
 
 DEFAULT_BUDGET = 10**8
 SAMPLER_MAX_BATCHES = 10_000  # sample_protected_configs gives up after this many batches
@@ -92,7 +89,7 @@ def classification_tag(tag: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _templates(d: int, t: int, rule: Rule) -> dict[frozenset[Site], str]:
+def _templates(d: int, t: int, rule: Rule) -> MappingProxyType[frozenset[Site], str]:
     """Every column template of B_t mapped to its tag; where two templates
     are the same set, the first in search order (axis, then orientation,
     then the column before its displaced ends) names it.
@@ -125,7 +122,7 @@ def _templates(d: int, t: int, rule: Rule) -> dict[frozenset[Site], str]:
             base = column - {ups[0], downs[0]}
             for vp, vm in product(ups, downs):
                 table.setdefault(base | {vp, vm}, "semi-canonical")
-    return table
+    return MappingProxyType(table)  # shared by every caller
 
 
 def classify(cert: Certificate) -> str:
@@ -139,25 +136,18 @@ def classify(cert: Certificate) -> str:
 
 
 # ---------------------------------------------------------------------------
-# One memoised sweep per question, read only after its work passes the budget
+# One memoised mask sweep per question, read only after its work passes the budget
 
 
 @lru_cache(maxsize=None)
-def _mask_sweep(d: int, t: int, rule: Rule, offset: Site | None) -> sweep.Sweep:
+def _mask_sweep(d: int, t: int, rule: Rule, offset: Site | None) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     from . import sweep  # loaded on the first sweep, not with the package
 
     return sweep.mask_sweep(sweep.domain(d, t, offset), rule)
 
 
-@lru_cache(maxsize=None)
-def _layer_hits(d: int, t: int, rule: Rule, u: int) -> tuple[tuple[int, ...], ...]:
-    from . import sweep
-
-    return tuple(sweep.size_layer_hits(sweep.domain(d, t), rule, u))
-
-
-def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
-    """Smallest protecting size of B_t and its protecting subsets: a mask
+def _min_layer(d: int, t: int, rule: Rule, budget: int) -> tuple[tuple[int, ...], ...]:
+    """The protecting subsets of B_t of the smallest protecting size: a mask
     sweep when its work is within the budget, else a size-major sweep that
     stops at the first size with a hit."""
     from . import sweep
@@ -165,15 +155,15 @@ def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
     dynamics.check_rule(rule, d)
     n = ball_size(d, t)
     if 1 << (n - 1) <= budget:  # the masks that hold the origin
-        return _mask_sweep(d, t, rule, None)
+        return _mask_sweep(d, t, rule, None)[0]
     work = 0
-    for u in range(n + 1):
-        work += math.comb(n - 1, u - 1) if u else 0  # the size-u subsets that hold the origin
+    for u in range(1, n + 1):
+        work += math.comb(n - 1, u - 1)  # the size-u subsets that hold the origin
         if work > budget:
             raise WorkBudgetExceeded(work, budget)
-        hits = _layer_hits(d, t, rule, u)
+        hits = sweep.size_layer_hits(sweep.domain(d, t), rule, u)
         if hits:
-            return sweep.Sweep(min_size=u, hits=hits)
+            return tuple(hits)
     raise AssertionError("the full ball always protects the origin")
 
 
@@ -184,10 +174,10 @@ def _min_layer(d: int, t: int, rule: Rule, budget: int) -> sweep.Sweep:
 def min_protecting_size(d: int, t: int, rule: Rule, *, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest u such that some size-u subset of B_t protects the origin.
 
-    Refuses once the subsets of sizes 0..u that hold the origin would exceed
+    Refuses once the subsets of sizes 1..u that hold the origin would exceed
     the budget.
     """
-    return _min_layer(d, t, rule, budget).min_size
+    return len(_min_layer(d, t, rule, budget)[0])
 
 
 def count_min_certificates(
@@ -198,7 +188,7 @@ def count_min_certificates(
     sites = enumerate_ball(d, t).sites
     certs = [
         Certificate(d=d, t=t, rule=rule, uninfected=frozenset(sites[j] for j in hit))
-        for hit in _min_layer(d, t, rule, budget).hits
+        for hit in _min_layer(d, t, rule, budget)
     ]
     return len(certs), certs
 
@@ -277,7 +267,7 @@ def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: 
         work = 1 << (len(sweep.domain(d, t, offset).sites) - 2)
         if work > budget:
             raise WorkBudgetExceeded(work, budget)
-    counts = _mask_sweep(d, t, rule, offset).counts
+    counts = _mask_sweep(d, t, rule, offset)[1]
     return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, offset=offset)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 Site = tuple[int, ...]
 
@@ -41,7 +42,7 @@ class BallIndex:
     """
 
     sites: tuple[Site, ...]
-    index_of: dict[Site, int] = field(compare=False, repr=False)
+    index_of: MappingProxyType[Site, int] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -72,7 +73,7 @@ def enumerate_ball(d: int, t: int) -> BallIndex:
         raise ValueError(f"ball with {n_sites} sites exceeds enumeration limit {MAX_BALL_SITES}")
     sites = tuple(_ball_sites(d, t))
     assert len(sites) == n_sites
-    return BallIndex(sites=sites, index_of={s: i for i, s in enumerate(sites)})
+    return BallIndex(sites=sites, index_of=MappingProxyType({s: i for i, s in enumerate(sites)}))
 
 
 def dependency_offsets(d: int, t: int) -> tuple[Site, ...]:

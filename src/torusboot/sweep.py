@@ -114,20 +114,11 @@ def _lane_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-class Sweep(NamedTuple):
-    """What a sweep found: the smallest protecting size, the protecting
-    subsets of that size (site indices, in lexicographic order), and N_u for
-    every u when the sweep covered all 2^n subsets."""
-
-    min_size: int
-    hits: tuple[tuple[int, ...], ...]
-    counts: tuple[int, ...] | None = None
-
-
-def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
-    """All 2^n subsets, of which only the 2^(n-k) that hold the k targets are
-    evolved: bit j of mask m says site k + j is uninfected, and the targets
-    always are.
+def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(hits, counts): the smallest protecting subsets (site indices, in
+    lexicographic order) and N_u for every u, over all 2^n subsets, of which
+    only the 2^(n-k) that hold the k targets are evolved: bit j of mask m
+    says site k + j is uninfected, and the targets always are.
 
     The low 6 bits of m are its lane in a word, so their planes are fixed
     patterns; the higher bits are constant within a word.  Words are evolved
@@ -169,7 +160,7 @@ def mask_sweep(dom: Domain, rule: Rule) -> Sweep:
         found.append((base.astype(np.int64) << n_low) | lane)
     masks = np.concatenate(found).tolist()
     hits = sorted(tuple(range(k)) + tuple(k + j for j in range(free) if m >> j & 1) for m in masks)
-    return Sweep(min_size=best, hits=tuple(hits), counts=tuple(int(c) for c in counts[: n + 1]))
+    return tuple(hits), tuple(int(c) for c in counts[: n + 1])
 
 
 def combination_blocks(n: int, u: int, rows: int):
@@ -180,8 +171,8 @@ def combination_blocks(n: int, u: int, rows: int):
     subset {n - 1 - x}, unranked a column at a time (Knuth, TAOCP 4A,
     7.2.1.3).  Counts are int64, each at most C(n, j) for some j <= u.  At
     layer u of B_t, size_layer_hits asks for the (u-2)-subsets of its m
-    others, whose counts are at most C(m, j), j <= u - 2: the subsets that
-    _min_layer swept within its budget at layer j + 1, so none overflows.
+    others, whose counts are at most C(m, j), j <= u - 2: _min_layer swept
+    those at layer j + 1 of the same call, within its budget, so none overflows.
     """
     total = math.comb(n, u)
     binom = np.array([[math.comb(c, j) for c in range(n)] for j in range(u + 1)], dtype=np.int64)

@@ -101,7 +101,6 @@ _SAMPLING_Q = {2: 0.80, 3: 0.85}
 _LEMMA_CHUNK = 128  # configurations per matrix product in _lemma_counts
 
 
-@lru_cache(maxsize=None)
 def _lemma_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(site, bound, incidence), one row per key-lemma check (x, C, k) over
     the sites of enumerate_ball(d, t).
@@ -136,8 +135,6 @@ def _lemma_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows = slice(start, start + 256)
         x = site[rows]
         incidence[rows] = compatible[config[rows, np.newaxis], pattern[x]] & (dist[x] == k[rows, np.newaxis])
-    for table in (site, bound, incidence):
-        table.flags.writeable = False  # shared by every caller
     return site, bound, incidence
 
 

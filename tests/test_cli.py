@@ -189,6 +189,18 @@ def test_extremal_min_modified_axis_lines_are_canonical(capsys):
     assert (summary["count"], summary["canonical"], summary["other"]) == (2, 2, 0)
 
 
+@pytest.mark.parametrize("rule", ["standard", "modified"])
+def test_extremal_min_budget_decides_only_whether_an_answer_comes(capsys, rule):
+    # (2,2) has 13 sites: the default budget takes the mask sweep over the
+    # 2^12 subsets that hold the origin, 4095 the size-major sweep
+    stdout = []
+    for budget in ([], ["--budget", "4095"]):
+        assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", rule, *budget]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+    assert json.loads(stdout[0])["count"] == (16 if rule == "standard" else 2)
+
+
 def test_extremal_joint_requires_offset(capsys):
     assert run(["extremal", "joint", "--d", "2", "--t", "1"]) == 2
 

@@ -53,7 +53,6 @@ def test_huge_estimate_message_is_a_power_of_two():
 
 def clear_memos():
     extremal._mask_sweep.cache_clear()
-    extremal._layer_hits.cache_clear()
 
 
 def test_cached_sweep_does_not_bypass_the_budget():
@@ -67,13 +66,23 @@ def test_cached_sweep_does_not_bypass_the_budget():
         exact_rho1(2, 2, budget=10)
 
 
-def test_budget_between_size_major_work_and_all_masks():
+def test_budget_between_size_major_work_and_all_masks(monkeypatch):
     # at (2,2) the mask sweep evolves the 2^12 = 4096 subsets that hold the
     # origin, and the size-major sweep the C(12, u - 1) of each size u:
     # 1 + 12 + 66 + 220 + 495 + 792 + 924 + 792 = 3302 through size 8
     clear_memos()
-    assert count_min_certificates(2, 2, Standard(2), budget=4095)[0] == 16
-    assert (extremal._mask_sweep.cache_info().currsize, extremal._layer_hits.cache_info().currsize) == (0, 9)
+    sizes = []
+    size_layer_hits = sweep.size_layer_hits
+
+    def spy_size_layer_hits(dom, rule, u):
+        sizes.append(u)
+        return size_layer_hits(dom, rule, u)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "size_layer_hits", spy_size_layer_hits)
+        assert count_min_certificates(2, 2, Standard(2), budget=4095)[0] == 16
+    assert extremal._mask_sweep.cache_info().currsize == 0
+    assert sizes == list(range(1, 9))
     assert count_min_certificates(2, 2, Standard(2), budget=4096)[0] == 16
     assert extremal._mask_sweep.cache_info().currsize == 1
     with pytest.raises(WorkBudgetExceeded) as exc:
@@ -184,10 +193,17 @@ def test_sweep_module_loads_on_the_first_sweep():
 
 
 def test_cached_tables_are_read_only():
-    # every caller shares one cached array, so none may write into it
+    # every caller shares one cached array or dict, so none may write into it
     for table in (dynamics._ball_neighbor_matrix(2, 2), *sweep._lane_tables()):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
+    for table in (extremal._templates(2, 2, Standard(2)), extremal._templates(2, 2, Modified()),
+                  enumerate_ball(2, 2).index_of):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
 
 
 @pytest.mark.parametrize(
@@ -206,10 +222,11 @@ def test_cached_tables_are_read_only():
 )
 def test_size_major_and_mask_sweeps_agree(monkeypatch, d, t, rule, offset):
     dom = sweep.domain(d, t, offset)
-    full = sweep.mask_sweep(dom, rule)
-    assert sweep.size_layer_hits(dom, rule, full.min_size) == list(full.hits)
-    for u in range(full.min_size + 2):
-        assert len(sweep.size_layer_hits(dom, rule, u)) == full.counts[u]
+    full = hits, counts = sweep.mask_sweep(dom, rule)
+    min_size = len(hits[0])
+    assert sweep.size_layer_hits(dom, rule, min_size) == list(hits)
+    for u in range(min_size + 2):
+        assert len(sweep.size_layer_hits(dom, rule, u)) == counts[u]
     if len(dom.sites) <= 14:
         # one word per chunk, so the smallest size found falls during the sweep
         monkeypatch.setattr(sweep, "_CHUNK_WORDS", 1)
@@ -245,7 +262,7 @@ def test_both_feeds_match_the_boolean_reference_on_all_subsets(monkeypatch, d, t
     for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]:
         layers = reference_layers(dom, t, rule)
         min_size = next(u for u, hits in enumerate(layers) if hits)
-        want = sweep.Sweep(min_size=min_size, hits=tuple(layers[min_size]), counts=tuple(map(len, layers)))
+        want = tuple(layers[min_size]), tuple(map(len, layers))
         assert sweep.mask_sweep(dom, rule) == want, rule
         for u, hits in enumerate(layers):  # includes u < dom.k
             assert sweep.size_layer_hits(dom, rule, u) == hits, (rule, u)

@@ -132,12 +132,8 @@ def test_tensor_lemma_counts_violations_like_the_scalar_checker(monkeypatch, d, 
     protected = sampled_protected_sets(d, t, 3, 5)
     real_bound = extremal.key_lemma_bound
     monkeypatch.setattr(extremal, "key_lemma_bound", lambda config, k: real_bound(config, k) + 1)
-    verify._lemma_table.cache_clear()
-    try:
-        n_checks, n_viol = verify._lemma_counts(d, t, protected)
-        assert (n_checks, n_viol) == scalar_cell_counts(d, t, protected)
-    finally:
-        verify._lemma_table.cache_clear()
+    n_checks, n_viol = verify._lemma_counts(d, t, protected)
+    assert (n_checks, n_viol) == scalar_cell_counts(d, t, protected)
     assert 0 < n_viol < n_checks
 
 
