@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--offset", help="comma-separated coordinates, e.g. 1,0")
     p_ext.add_argument("--k", type=int)
     p_ext.add_argument("--q", type=float)
-    p_ext.add_argument("--budget", type=int, default=extremal.DEFAULT_BUDGET)
+    p_ext.add_argument("--budget", type=int, default=extremal.DEFAULT_BUDGET,
+                       help="refuse (exit 3) a question whose sweep would evolve more subsets; never changes the answer")
     p_ext.add_argument("--out")
     p_ext.set_defaults(func=cmd_extremal)
 

@@ -147,14 +147,17 @@ def _mask_sweep(d: int, t: int, rule: Rule, offset: Site | None) -> tuple[tuple[
 
 
 def _min_layer(d: int, t: int, rule: Rule, budget: int) -> tuple[tuple[int, ...], ...]:
-    """The protecting subsets of B_t of the smallest protecting size: a mask
-    sweep when its work is within the budget, else a size-major sweep that
-    stops at the first size with a hit."""
+    """The protecting subsets of B_t of the smallest protecting size.  The
+    ball alone picks the sweep: all masks when they fit DEFAULT_BUDGET, else
+    size-major up to the first size with a hit; the budget only refuses."""
     from . import sweep
 
     dynamics.check_rule(rule, d)
     n = ball_size(d, t)
-    if 1 << (n - 1) <= budget:  # the masks that hold the origin
+    work = 1 << (n - 1)  # the masks that hold the origin
+    if work <= DEFAULT_BUDGET:
+        if work > budget:
+            raise WorkBudgetExceeded(work, budget)
         return _mask_sweep(d, t, rule, None)[0]
     work = 0
     for u in range(1, n + 1):
@@ -174,9 +177,8 @@ def _min_layer(d: int, t: int, rule: Rule, budget: int) -> tuple[tuple[int, ...]
 def min_protecting_size(d: int, t: int, rule: Rule, *, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest u such that some size-u subset of B_t protects the origin.
 
-    Refuses once the subsets of sizes 1..u that hold the origin would exceed
-    the budget.
-    """
+    Refuses when _min_layer's sweep would evolve more subsets than the
+    budget, so the budget never changes u."""
     return len(_min_layer(d, t, rule, budget)[0])
 
 

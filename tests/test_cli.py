@@ -191,14 +191,25 @@ def test_extremal_min_modified_axis_lines_are_canonical(capsys):
 
 @pytest.mark.parametrize("rule", ["standard", "modified"])
 def test_extremal_min_budget_decides_only_whether_an_answer_comes(capsys, rule):
-    # (2,2) has 13 sites: the default budget takes the mask sweep over the
-    # 2^12 subsets that hold the origin, 4095 the size-major sweep
+    # (2,2) has 13 sites, so it takes the mask sweep over the 2^12 subsets
+    # that hold the origin at every budget, and 4095 refuses it; modified
+    # (4,2) has 41, so 2^40 keeps it on the size-major sweep of the default
+    assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", rule]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == (16 if rule == "standard" else 2)
+    assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", rule, "--budget", "4095"]) == 3
+    assert capsys.readouterr().err == "refused: enumeration needs ~4096 subset tests, budget is 4095\n"
     stdout = []
-    for budget in ([], ["--budget", "4095"]):
-        assert run(["extremal", "min", "--d", "2", "--t", "2", "--rule", rule, *budget]) == 0
+    for budget in ([], ["--budget", "1099511627776"]):
+        assert run(["extremal", "min", "--d", "4", "--t", "2", "--rule", "modified", *budget]) == 0
         stdout.append(capsys.readouterr().out)
     assert stdout[0] == stdout[1]
-    assert json.loads(stdout[0])["count"] == (16 if rule == "standard" else 2)
+
+
+def test_extremal_min_small_ball_refuses_below_its_masks(capsys):
+    # standard r = 2 on the 25-site (3,2): the 2^24 masks that hold the
+    # origin exceed the budget, so it refuses before any sweep runs
+    assert run(["extremal", "min", "--d", "3", "--t", "2", "--r", "2", "--budget", "16000000"]) == 3
+    assert capsys.readouterr().err == "refused: enumeration needs ~16777216 subset tests, budget is 16000000\n"
 
 
 def test_extremal_joint_requires_offset(capsys):

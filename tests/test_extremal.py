@@ -56,20 +56,28 @@ def clear_memos():
 
 
 def test_cached_sweep_does_not_bypass_the_budget():
-    assert count_min_certificates(2, 2, Standard(2))[0] == 16  # fills the memo
-    for oracle in (min_protecting_size, count_min_certificates):
+    # the 13-site (2,2) ball takes the mask sweep over the 2^12 masks that
+    # hold the origin; the union of B_1(0) and B_1((1,0)) refuses from B_1's 2^4
+    calls = [
+        (lambda budget: min_protecting_size(2, 2, Standard(2), budget=budget), 4096),
+        (lambda budget: count_min_certificates(2, 2, Standard(2), budget=budget), 4096),
+        (lambda budget: exact_rho1(2, 2, budget=budget), 4096),
+        (lambda budget: exact_joint(2, 1, (1, 0), budget=budget), 16),
+        (lambda budget: count_near_minimal(2, 2, 1, budget=budget), 4096),
+    ]
+    for call, _ in calls:
+        call(DEFAULT_BUDGET)  # every memo is filled
+    for call, work in calls:
         with pytest.raises(WorkBudgetExceeded) as exc:
-            oracle(2, 2, Standard(2), budget=10)
-        # sizes 0, 1 and 2 hold 0 + C(12, 0) + C(12, 1) = 13 subsets with the origin
-        assert (exc.value.budget, exc.value.estimate) == (10, 13)
-    with pytest.raises(WorkBudgetExceeded):
-        exact_rho1(2, 2, budget=10)
+            call(10)
+        assert (exc.value.budget, exc.value.estimate) == (10, work)
 
 
 def test_budget_between_size_major_work_and_all_masks(monkeypatch):
-    # at (2,2) the mask sweep evolves the 2^12 = 4096 subsets that hold the
-    # origin, and the size-major sweep the C(12, u - 1) of each size u:
-    # 1 + 12 + 66 + 220 + 495 + 792 + 924 + 792 = 3302 through size 8
+    # at (2,2) the size-major sweep would evolve the C(12, u - 1) subsets of
+    # each size u: 1 + 12 + 66 + 220 + 495 + 792 + 924 + 792 = 3302 through
+    # size 8, fewer than the 2^12 = 4096 masks that hold the origin.  The
+    # 13-site ball still takes the mask sweep, so 4095 refuses with its work
     clear_memos()
     sizes = []
     size_layer_hits = sweep.size_layer_hits
@@ -80,14 +88,18 @@ def test_budget_between_size_major_work_and_all_masks(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "size_layer_hits", spy_size_layer_hits)
-        assert count_min_certificates(2, 2, Standard(2), budget=4095)[0] == 16
-    assert extremal._mask_sweep.cache_info().currsize == 0
-    assert sizes == list(range(1, 9))
-    assert count_min_certificates(2, 2, Standard(2), budget=4096)[0] == 16
+        with pytest.raises(WorkBudgetExceeded) as exc:
+            count_min_certificates(2, 2, Standard(2), budget=4095)
+        assert exc.value.estimate == 4096
+        assert extremal._mask_sweep.cache_info().currsize == 0
+        assert count_min_certificates(2, 2, Standard(2), budget=4096)[0] == 16
+    assert sizes == []
     assert extremal._mask_sweep.cache_info().currsize == 1
-    with pytest.raises(WorkBudgetExceeded) as exc:
-        min_protecting_size(2, 2, Standard(2), budget=3301)
-    assert exc.value.estimate == 3302
+
+
+AXIS_LINES_4_2 = {
+    frozenset(tuple(k if i == axis else 0 for i in range(4)) for k in range(-2, 3)) for axis in range(4)
+}
 
 
 def test_modified_4_2_accepted_under_default_budget():
@@ -95,10 +107,42 @@ def test_modified_4_2_accepted_under_default_budget():
     # 102,091 subsets of sizes 1..5 that hold the origin
     count, certs = count_min_certificates(4, 2, Modified(), budget=DEFAULT_BUDGET)
     assert count == 4
-    assert {c.uninfected for c in certs} == {
-        frozenset(tuple(k if i == axis else 0 for i in range(4)) for k in range(-2, 3))
-        for axis in range(4)
-    }
+    assert {c.uninfected for c in certs} == AXIS_LINES_4_2
+
+
+@pytest.mark.parametrize(
+    "d,t,rule,budgets,feed,other",
+    [
+        (2, 2, Standard(2), (4096, DEFAULT_BUDGET, 1 << 40), "mask_sweep", "size_layer_hits"),
+        (4, 2, Modified(), (102_091, DEFAULT_BUDGET, 1 << 40), "size_layer_hits", "mask_sweep"),
+    ],
+    ids=["mask-2-2", "size-major-4-2"],
+)
+def test_the_ball_alone_picks_the_minimum_feed(monkeypatch, d, t, rule, budgets, feed, other):
+    # a ball of at most 27 sites takes the mask sweep, a larger one the
+    # size-major sweep, at every budget that answers: the 2^40 masks of the
+    # 41-site (4,2) would take about 20 minutes to evolve
+    runs = []
+    chosen = getattr(sweep, feed)
+
+    def spy(*args):
+        runs.append(feed)
+        return chosen(*args)
+
+    def refuse(*args):
+        raise AssertionError(f"{other} ran")
+
+    monkeypatch.setattr(sweep, feed, spy)
+    monkeypatch.setattr(sweep, other, refuse)
+    for budget in budgets:
+        clear_memos()
+        runs.clear()
+        count, certs = count_min_certificates(d, t, rule, budget=budget)
+        assert runs
+        if feed == "mask_sweep":
+            assert count == 16
+        else:
+            assert {c.uninfected for c in certs} == AXIS_LINES_4_2
 
 
 def test_budget_boundaries_are_the_subsets_evolved():
@@ -136,20 +180,21 @@ def spy_on_feeds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "oracle,args,budget,size_major",
+    "oracle,args,work,size_major",
     [
-        (exact_rho1, (2, 1), DEFAULT_BUDGET, False),  # 2^4 valid lanes of one word
-        (exact_rho1, (2, 2), DEFAULT_BUDGET, False),
-        (exact_joint, (2, 2, (1, 0)), DEFAULT_BUDGET, False),  # two targets
-        (count_min_certificates, (2, 2, Standard(2)), 4000, True),  # sizes 0..8
+        (exact_rho1, (2, 1), 2**4, False),  # 2^4 valid lanes of one word
+        (exact_rho1, (2, 2), 2**12, False),
+        (exact_joint, (2, 2, (1, 0)), 2**16, False),  # 18 sites, two targets
+        # 29 sites: C(28, 0) + C(28, 1) + C(28, 2) = 407 subsets of sizes 1..3
+        (count_min_certificates, (14, 1, Modified()), 407, True),
     ],
-    ids=["rho1-2-1", "rho1-2-2", "joint-2-2", "size-major-2-2"],
+    ids=["rho1-2-1", "rho1-2-2", "joint-2-2", "size-major-14-1"],
 )
-def test_refusal_estimate_is_the_work_the_feeds_do(monkeypatch, oracle, args, budget, size_major):
+def test_refusal_estimate_is_the_work_the_feeds_do(monkeypatch, oracle, args, work, size_major):
     clear_memos()
     subsets, held = spy_on_feeds(monkeypatch)
-    oracle(*args, budget=budget)
-    work = len(subsets)
+    oracle(*args)
+    assert len(subsets) == work
     # the size-major feed's valid lanes are each subset once; a mask sweep
     # evolves at least one whole word of 64 lanes
     assert sum(held) == (work if size_major else max(work, 64))
@@ -157,24 +202,6 @@ def test_refusal_estimate_is_the_work_the_feeds_do(monkeypatch, oracle, args, bu
         oracle(*args, budget=work - 1)
     assert exc.value.estimate == work
     oracle(*args, budget=work)
-
-
-def test_size_major_memo_does_not_serve_full_counts():
-    clear_memos()
-    assert count_min_certificates(2, 2, Standard(2), budget=4000)[0] == 16  # size-major
-    assert exact_rho1(2, 2).counts == (0, 0, 0, 0, 0, 0, 0, 0, 16, 77, 116, 60, 12, 1)
-    calls = [
-        lambda budget: min_protecting_size(2, 2, Standard(2), budget=budget),
-        lambda budget: count_min_certificates(2, 2, Standard(2), budget=budget),
-        lambda budget: exact_rho1(2, 2, budget=budget),
-        lambda budget: exact_joint(2, 1, (1, 0), budget=budget),
-        lambda budget: count_near_minimal(2, 2, 1, budget=budget),
-    ]
-    for call in calls:
-        call(DEFAULT_BUDGET)  # every memo is filled
-    for call in calls:
-        with pytest.raises(WorkBudgetExceeded):
-            call(10)
 
 
 def test_sweep_module_loads_on_the_first_sweep():
