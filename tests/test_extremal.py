@@ -73,6 +73,22 @@ def test_cached_sweep_does_not_bypass_the_budget():
         assert (exc.value.budget, exc.value.estimate) == (10, work)
 
 
+def test_size_major_memo_does_not_serve_full_counts():
+    # the 29-site modified (14,1) ball takes the size-major sweep, which stops
+    # at the first size with a hit; it leaves no memo behind, so the full
+    # counts still refuse their 2^28 masks and a repeat still refuses its 407
+    clear_memos()
+    assert count_min_certificates(14, 1, Modified())[0] == 14
+    assert extremal._mask_sweep.cache_info().currsize == 0
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        exact_rho1(14, 1, Modified())
+    assert exc.value.estimate == 1 << 28
+    with pytest.raises(WorkBudgetExceeded) as exc:
+        count_min_certificates(14, 1, Modified(), budget=406)
+    assert exc.value.estimate == 407
+    assert extremal._mask_sweep.cache_info().currsize == 0
+
+
 def test_budget_between_size_major_work_and_all_masks(monkeypatch):
     # at (2,2) the size-major sweep would evolve the C(12, u - 1) subsets of
     # each size u: 1 + 12 + 66 + 220 + 495 + 792 + 924 + 792 = 3302 through
