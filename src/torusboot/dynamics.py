@@ -9,7 +9,7 @@ is a batch of boolean uninfected rows over the sites of enumerate_ball(d, t),
 whose exterior is permanently infected.  It answers protection questions
 exactly, because the state of x at time s depends only on initial states
 within l1 distance s of x.  protected_set maps a batch of rows to their
-protected sets in t kernel calls.
+protected sets in t kernel calls, on the nested balls B_t, ..., B_1.
 
 Each rule is one bitwise expression over the uninfected planes of a site
 and its 2d neighbours (_stays_uninfected), its only copy in the package.
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Site, enumerate_ball, l1_norm
+from .lattice import Site, ball_size, enumerate_ball
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +175,6 @@ def _ball_neighbor_matrix(d: int, t: int) -> np.ndarray:
     return nbr
 
 
-@lru_cache(maxsize=None)
-def _ball_norms(d: int, t: int) -> np.ndarray:
-    norms = np.array([l1_norm(s) for s in enumerate_ball(d, t).sites], dtype=np.int64)
-    norms.flags.writeable = False  # shared by every caller
-    return norms
-
-
 def neighbor_matrix(sites: tuple[Site, ...]) -> np.ndarray:
     """(n_sites, 2d) index matrix; column 2i is +e_i, column 2i+1 is -e_i.
 
@@ -260,15 +253,16 @@ def protected_set(uninfected: np.ndarray, d: int, t: int, rule: Rule) -> np.ndar
     (batch, n_sites) state; a (batch, n_sites) bool array.
 
     After that time the state of x can no longer influence the origin at
-    time t, so these are exactly the sites whose protection matters.  The
-    whole batch is evolved one step at a time, t kernel calls in all.
+    time t, so these are exactly the sites whose protection matters.  B_(t-s)
+    is the first ball_size(d, t - s) sites of B_t, and step s = 1..t is one
+    kernel call on B_(t-s+1) that keeps B_(t-s): its neighbours all lie in
+    B_(t-s+1), whose states at time s - 1 are exact, and the boundary states
+    computed with an infected exterior are dropped.  The input is not written.
     """
     check_rule(rule, d)
-    nbr = _ball_neighbor_matrix(d, t)
-    norms = _ball_norms(d, t)
-    current = np.asarray(uninfected, dtype=bool)
-    protected = current & (norms == t)
+    current = protected = np.array(uninfected, dtype=bool)
     for s in range(1, t + 1):
-        current = evolve_finite_batch(current, nbr, rule, steps=1)
-        protected |= current & (norms == t - s)
+        inner = ball_size(d, t - s)
+        current = evolve_finite_batch(current, _ball_neighbor_matrix(d, t - s + 1), rule, steps=1)[:, :inner]
+        protected[:, :inner] = current
     return protected

@@ -319,10 +319,9 @@ def check_layer_bounds(protected: np.ndarray, d: int, t: int) -> np.ndarray:
     bound fails where it is negative and is tight where it is zero."""
     if not protected[:, 0].all():  # the origin is the first site of enumerate_ball
         raise PreconditionError("origin is not protected")
-    layers = np.arange(1, t + 1)
-    in_layer = dynamics._ball_norms(d, t)[:, np.newaxis] == layers  # [site, k - 1]
-    by_norm = protected.astype(np.int64) @ in_layer
-    return by_norm - np.array([ell(k, d) for k in layers])
+    layers = range(1, t + 1)  # layer k is the sites [ball_size(d, k - 1), ball_size(d, k))
+    by_norm = np.add.reduceat(protected, [ball_size(d, k - 1) for k in layers], axis=1, dtype=np.int64)
+    return by_norm - np.array([ell(k, d) for k in layers], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,4 @@ def dependency_offsets(d: int, t: int) -> tuple[Site, ...]:
     """
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got {t}")
-    ball = enumerate_ball(d, 2 * t + 1)
-    origin = (0,) * d
-    return tuple(s for s in ball.sites if s != origin)
+    return enumerate_ball(d, 2 * t + 1).sites[1:]  # the origin is site 0

@@ -17,7 +17,7 @@ from torusboot.dynamics import (
     torus_run,
     torus_step_grid,
 )
-from torusboot.lattice import enumerate_ball, l1_norm
+from torusboot.lattice import ball_size, enumerate_ball, l1_norm
 
 
 def reference_step(infected, rule):
@@ -348,22 +348,43 @@ def reference_protected_set(row, d, t, rule):
     return out
 
 
-RULES_BY_D = [(d, rule) for d in (2, 3) for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]]
+# d = 1 and d = 4 come last so that the d = 2, 3 cases keep their ids
+RULES_BY_D = [(d, rule) for d in (2, 3, 1, 4) for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]]
 
 
 @pytest.mark.parametrize("d,rule", RULES_BY_D)
 @given(
-    t=st.integers(0, 3),
+    data=st.data(),
     rows=st.sampled_from((1, 65, 100)),
     q=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=12, deadline=None)
-def test_batched_protected_set_matches_per_row_reference(d, rule, t, rows, q, seed):
+def test_batched_protected_set_matches_per_row_reference(d, rule, data, rows, q, seed):
+    t = data.draw(st.integers(0, 2 if d == 4 else 3), label="t")
     uninf = np.random.default_rng(seed).random((rows, len(enumerate_ball(d, t)))) < q
     got = protected_set(uninf, d, t, rule)
     want = np.stack([reference_protected_set(row, d, t, rule) for row in uninf])
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,t", [(2, 3), (3, 2)])
+def test_protected_set_steps_the_nested_balls(monkeypatch, d, t):
+    # step s is one kernel call on B_(t-s+1), whose first ball_size(d, t - s)
+    # sites are B_(t-s); the caller's rows are left as they were
+    shapes = []
+    kernel = dynamics.evolve_finite_batch
+
+    def spy(rows, nbr, *args, **kwargs):
+        shapes.append((rows.shape, nbr.shape[0]))
+        return kernel(rows, nbr, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve_finite_batch", spy)
+    uninf = np.random.default_rng(7).random((70, ball_size(d, t))) < 0.8
+    before = uninf.copy()
+    protected_set(uninf, d, t, Standard(d))
+    assert shapes == [((70, ball_size(d, j)), ball_size(d, j)) for j in range(t, 0, -1)]
+    np.testing.assert_array_equal(uninf, before)
 
 
 # the balls, rules, batch sizes and step counts of the packed kernel's grid:

@@ -865,22 +865,24 @@ def test_layer_bounds_requires_protected_origin():
 
 
 def test_layer_bounds_batch_matches_per_row_counts():
-    d, t = 2, 3
-    sites = enumerate_ball(d, t).sites
-    column = protected_row(d, t, column_sites(d, t), Standard(d))
-    full = protected_row(d, t, set(sites), Standard(d))
-    origin_only = np.zeros(len(sites), dtype=bool)
-    origin_only[0] = True
-    batch = np.stack([column, full, origin_only])
-    slack = check_layer_bounds(batch, d, t)
-    want = [
-        [sum(1 for s, p in zip(sites, row) if p and l1_norm(s) == k) - ell(k, d) for k in range(1, t + 1)]
-        for row in batch
-    ]
-    assert slack.tolist() == want
-    assert (slack[0] == 0).all() and (slack[1] > 0).all() and (slack[2] < 0).all()
-    # the criterion's bad_layers counts rows with any failing layer: only the last
-    assert (slack < 0).any(axis=1).tolist() == [False, False, True]
+    for d, t in ((2, 3), (2, 1), (3, 1), (3, 2), (2, 0), (3, 0)):
+        sites = enumerate_ball(d, t).sites
+        column = protected_row(d, t, column_sites(d, t), Standard(d))
+        full = protected_row(d, t, set(sites), Standard(d))
+        origin_only = np.zeros(len(sites), dtype=bool)
+        origin_only[0] = True
+        batch = np.stack([column, full, origin_only])
+        slack = check_layer_bounds(batch, d, t)
+        # int64 and one column per layer, also at t = 0 where there is none
+        assert slack.dtype == np.int64 and slack.shape == (3, t)
+        want = [
+            [sum(1 for s, p in zip(sites, row) if p and l1_norm(s) == k) - ell(k, d) for k in range(1, t + 1)]
+            for row in batch
+        ]
+        assert slack.tolist() == want
+        assert (slack[0] == 0).all() and (slack[1] > 0).all() and (slack[2] < 0).all()
+        # the criterion's bad_layers counts rows with any failing layer: only the last
+        assert (slack < 0).any(axis=1).tolist() == [False, False, t > 0]
 
 
 def test_layer_bounds_refuse_a_batch_with_one_unprotected_origin():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from torusboot import montecarlo
-from torusboot.dynamics import Standard
+from torusboot.dynamics import Standard, _ball_neighbor_matrix
 from torusboot.lattice import ball_size, dependency_offsets, enumerate_ball, l1_norm
 
 from test_dynamics import packed_step
@@ -27,6 +27,15 @@ def test_enumeration_is_sorted_by_norm_then_lex():
     keys = [(l1_norm(s), s) for s in sites]
     assert keys == sorted(keys)
     assert sites[0] == (0, 0)
+    # so B_j is a prefix of B_t, site order and neighbour table alike, with
+    # B_j's exterior at its sentinel b; protected_set relies on both
+    for d in range(1, 5):
+        for t in range(4):
+            for j in range(t + 1):
+                b = ball_size(d, j)
+                assert enumerate_ball(d, j).sites == enumerate_ball(d, t).sites[:b]
+                np.testing.assert_array_equal(
+                    _ball_neighbor_matrix(d, j), np.minimum(_ball_neighbor_matrix(d, t)[:b], b))
 
 
 def test_index_roundtrip():
