@@ -221,6 +221,8 @@ def run_trials_F(config: ExperimentConfig, t: int) -> EmpiricalDistribution:
 
 def estimate_P_T_le_t(dist: EmpiricalDistribution, t: int) -> EstimateWithCI:
     """Proportion of trials with T <= t, with a 95% Wilson score interval."""
+    if dist.trials == 0:
+        raise ValueError("empty distribution")
     k = sum(v for outcome, v in dist.histogram.items() if outcome <= t)
     n = dist.trials
     point, level, z = k / n, 0.95, _Z_95

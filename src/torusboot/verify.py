@@ -111,30 +111,36 @@ def _lemma_table(d: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     direction on a nonzero coordinate admits counterexamples, e.g. d=2,
     t=3, x=(1,-1), C=(0,0), k=1 with a protected origin has only 2
     compatible protected sites against a bound of 3.
+    Rows run in (site, C in product order, k) order.
     site[row]          index of x
     bound[row]         extremal.key_lemma_bound(C, k)
     incidence[row, y]  1 where ||y - x|| = k and (y_i - x_i) C_i >= 0 on every axis
     incidence is float32, so the counts run in BLAS and stay exact below 2^24.
+
+    A row's incidence is one offset set O(C, k) = {delta : ||delta|| = k,
+    delta_i C_i >= 0}, translated to x.  The offsets are sites of the ball
+    (k <= t), and every translate stays in B_t: ||x + delta|| <=
+    ||x|| + k <= t.  Each site carries the key sum_i x_i (2t+1)^i.  It is
+    linear, so additive under translation, key(x + delta) = key(x) +
+    key(delta), and one-to-one on B_t, whose coordinates lie in [-t, t];
+    y is found by one searchsorted over the sorted keys.
     """
     configs = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
-    # int8: every entry of y - x lies in [-2t, 2t], and the suite's t is small
-    coords = np.array(enumerate_ball(d, t).sites, dtype=np.int8)
-    diff = coords[np.newaxis, :, :] - coords[:, np.newaxis, :]  # [x, y, axis] = y - x
-    # sign pattern of y - x, indexed like configs
-    pattern = (np.sign(diff) + 1) @ 3 ** np.arange(d - 1, -1, -1)
-    dist = np.abs(diff).sum(axis=2)
-    compatible = (configs[:, np.newaxis, :] * configs[np.newaxis, :, :] >= 0).all(axis=2)  # [C, pattern]
+    coords = np.array(enumerate_ball(d, t).sites, dtype=np.int64)
+    norm = np.abs(coords).sum(axis=1)
+    allows = (configs[:, np.newaxis, :] * coords[np.newaxis, :, :] >= 0).all(axis=2)  # [C, delta]
     signs = np.sign(coords)[:, np.newaxis, :]
     aligned = ((signs == 0) | (signs == configs)).all(axis=2)  # [x, C]
-    in_range = np.arange(t + 1) <= t - np.abs(coords).sum(axis=1)[:, np.newaxis]  # [x, k]
+    in_range = np.arange(t + 1) <= t - norm[:, np.newaxis]  # [x, k]
     site, config, k = np.nonzero(aligned[:, :, np.newaxis] & in_range[:, np.newaxis, :])
     bounds = [[extremal.key_lemma_bound(tuple(C), j) for j in range(t + 1)] for C in configs.tolist()]
     bound = np.array(bounds)[config, k]
-    incidence = np.empty((site.size, coords.shape[0]), dtype=np.float32)
-    for start in range(0, site.size, 256):  # gathered in blocks, to keep temporaries small
-        rows = slice(start, start + 256)
-        x = site[rows]
-        incidence[rows] = compatible[config[rows, np.newaxis], pattern[x]] & (dist[x] == k[rows, np.newaxis])
+    row, delta = np.nonzero(allows[config] & (norm == k[:, np.newaxis]))
+    key = coords @ (2 * t + 1) ** np.arange(d)
+    order = np.argsort(key)
+    y = order[np.searchsorted(key[order], key[site[row]] + key[delta])]
+    incidence = np.zeros((site.size, coords.shape[0]), dtype=np.float32)
+    incidence[row, y] = 1
     return site, bound, incidence
 
 

@@ -243,6 +243,15 @@ def test_estimate_wilson_interval():
     assert zero.point == 0.0 and zero.ci_high > 0.0
 
 
+@pytest.mark.parametrize("summary", [
+    lambda dist: mc.estimate_P_T_le_t(dist, 2),
+    lambda dist: mc.tv_report(dist, 1.0),
+], ids=["estimate_P_T_le_t", "tv_report"])
+def test_summaries_refuse_an_empty_distribution(summary):
+    with pytest.raises(ValueError, match="empty distribution"):
+        summary(mc.EmpiricalDistribution())
+
+
 def test_wilson_z_is_the_normal_quantile():
     # estimate_P_T_le_t's 95% interval uses the exact 0.975 quantile, so
     # report.json keeps the bytes it had when z was computed per call

@@ -137,6 +137,35 @@ def test_tensor_lemma_counts_violations_like_the_scalar_checker(monkeypatch, d, 
     assert 0 < n_viol < n_checks
 
 
+@pytest.mark.parametrize("d,t", verify.KEY_LEMMA_CELLS + [(1, 0), (1, 3), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2)])
+def test_lemma_table_is_the_definition(d, t):
+    # check_key_lemma's rules, one (x, C, k) row at a time: C aligned with
+    # x's signs, k = 0..t-||x||, y at distance k with (y_i - x_i) C_i >= 0
+    sites = enumerate_ball(d, t).sites
+    rows = []
+    for i, x in enumerate(sites):
+        for config in product((-1, 0, 1), repeat=d):
+            if any(xi != 0 and c != (1 if xi > 0 else -1) for xi, c in zip(x, config)):
+                continue
+            for k in range(t - l1_norm(x) + 1):
+                incidence = [
+                    sum(abs(yi - xi) for yi, xi in zip(y, x)) == k
+                    and all((yi - xi) * c >= 0 for yi, xi, c in zip(y, x, config))
+                    for y in sites
+                ]
+                rows.append((i, extremal.key_lemma_bound(config, k), incidence))
+    site, bound, incidence = verify._lemma_table(d, t)
+    want = (
+        np.array([i for i, _, _ in rows], dtype=np.intp),
+        np.array([b for _, b, _ in rows], dtype=np.int64),
+        np.array([inc for _, _, inc in rows], dtype=np.float32),
+    )
+    for got, exp in zip((site, bound, incidence), want):
+        assert got.dtype == exp.dtype
+        assert got.shape == exp.shape
+        assert np.array_equal(got, exp)
+
+
 def test_key_lemma_refuses_fewer_configurations_than_cells():
     with pytest.raises(ValueError, match="total"):
         verify.criterion_key_lemma(total=len(verify.KEY_LEMMA_CELLS) - 1)
