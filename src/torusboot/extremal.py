@@ -12,6 +12,7 @@ WorkBudgetExceeded rather than running forever.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
@@ -247,29 +248,49 @@ class RhoPolynomial:
 
 
 def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: int) -> RhoPolynomial:
-    """Exact counts over sweep.domain(d, t, offset) from its mask sweep;
-    refuses its work above the budget."""
+    """Exact counts over B_t, or over U = B_t(0) union B_t(offset) with both
+    centres protected; refuses its work above the budget.
+
+    A ball reads its memoised mask sweep.  A joint reads sweep.split_counts,
+    one mask sweep of B_t split over I = B_t(0) ∩ B_t(offset), when
+    |I| < |B_t| - 1, so that its 2^(|B_t|-1) masks are fewer than the union's
+    2^(|U|-2); when each of its two tables' 2^|I| (|B_t| - |I| + 1) cells
+    fits in one chunk's 64 sweep._CHUNK_WORDS masks; and when |U| <= 66, so
+    that its int64 sums are exact.  Otherwise it reads the union's memoised
+    mask sweep.  |U| = 2|B_t| - |I|, so no union is built to choose.
+    """
     from . import sweep
 
     if rule is None:
         rule = Standard(r=d)
     dynamics.check_rule(rule, d)
     if offset is not None:
-        offset = tuple(offset)
+        try:
+            offset = tuple(map(operator.index, offset))
+        except TypeError:
+            raise ValueError(f"offset must have integer coordinates, got {offset}") from None
         if len(offset) != d:
             raise ValueError(f"offset must have d = {d} coordinates, got {len(offset)}")
         if all(c == 0 for c in offset):
             raise ValueError("offset must be nonzero")
-    # a ball's work exactly, and a lower bound on a union's, which holds B_t
-    # and one more site, two of them targets: checked before the union is built
-    work = 1 << (ball_size(d, t) - 1)
+    # a ball's work exactly, and a lower bound on a joint's, whose either feed
+    # evolves at least B_t's masks: checked before anything is built
+    n = ball_size(d, t)
+    work = 1 << (n - 1)
     if work > budget:
         raise WorkBudgetExceeded(work, budget, at_least=offset is not None)
-    if offset is not None:
-        work = 1 << (len(sweep.domain(d, t, offset).sites) - 2)
-        if work > budget:
-            raise WorkBudgetExceeded(work, budget)
-    counts = _mask_sweep(d, t, rule, offset)[1]
+    if offset is None:
+        counts = _mask_sweep(d, t, rule, None)[1]
+    else:
+        shared = len(sweep.intersection(d, t, offset))
+        union = 2 * n - shared
+        if shared < n - 1 and (n - shared + 1) << shared <= 64 * sweep._CHUNK_WORDS and union <= 66:
+            counts = sweep.split_counts(d, t, offset, rule)
+        else:
+            work = 1 << (union - 2)
+            if work > budget:
+                raise WorkBudgetExceeded(work, budget)
+            counts = _mask_sweep(d, t, rule, offset)[1]
     return RhoPolynomial(d=d, t=t, rule=rule, counts=counts, offset=offset)
 
 
@@ -281,10 +302,13 @@ def exact_rho1(d: int, t: int, rule: Rule | None = None, *, budget: int = DEFAUL
 def exact_joint(
     d: int, t: int, offset: Site, rule: Rule | None = None, *, budget: int = DEFAULT_BUDGET
 ) -> RhoPolynomial:
-    """Exact counts for {origin protected} and {offset protected} jointly.
+    """Exact counts for {origin protected} and {offset protected} jointly,
+    over every state of B_t(0) union B_t(offset).
 
-    Enumerates all states of B_t(0) union B_t(offset); exact because each
-    protection event depends only on its own radius-t ball.
+    Each protection event depends only on its own radius-t ball, so where it
+    is cheaper the counts come from one sweep of B_t(0), tabulated by each
+    subset's trace on the two balls' intersection (see _polynomial); else
+    from a sweep of the union.  The offset's coordinates must be integers.
     """
     return _polynomial(d, t, rule, offset, budget)
 

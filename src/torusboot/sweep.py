@@ -12,14 +12,18 @@ each step updates a prefix of the rest.
 Infection is monotone, so a subset that leaves a target infected at time 0
 never protects it.  Both feeds therefore fix every target's plane to
 all-ones (uninfected) and enumerate subsets of the other sites only:
-mask_sweep runs all 2^(n-k) subsets of the n - k non-target sites of a
+mask_feed runs all 2^(n-k) subsets of the n - k non-target sites of a
 domain with k targets, and size_layer_hits the subsets of one size: the
 prefixes one element shorter, unranked in lexicographic blocks, each get one
-word per run of 64 last elements, written straight into the planes.
-tests/test_extremal.py holds evolve_planes bit for bit to the boolean
-finite-domain reference of tests/reference.py, both feeds to all 2^n subsets
-run through it, and every lane of size_layer_hits to itertools.combinations
-run through it.  The extremal oracles import this module on their first
+word per run of 64 last elements, written straight into the planes.  Two
+readers share mask_feed: mask_sweep counts and lists a domain's protecting
+subsets, and split_counts tabulates those of a ball by their trace on its
+intersection with a translate, which gives the joint counts of the two
+balls' union from one ball's sweep.  tests/test_extremal.py holds
+evolve_planes bit for bit to the boolean finite-domain reference of
+tests/reference.py, both feeds to all 2^n subsets run through it, every lane
+of size_layer_hits to itertools.combinations run through it, and
+split_counts to mask_sweep on the union.  The extremal oracles import this module on their first
 sweep, so the package's other users never load it.
 """
 
@@ -114,20 +118,20 @@ def _lane_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(hits, counts): the smallest protecting subsets (site indices, in
-    lexicographic order) and N_u for every u, over all 2^n subsets, of which
-    only the 2^(n-k) that hold the k targets are evolved: bit j of mask m
-    says site k + j is uninfected, and the targets always are.
+def mask_feed(dom: Domain, rule: Rule):
+    """The mask sweep's one feed: (first, good) for each chunk of words, in
+    order, good[w] holding the lanes of word first + w that protect every
+    target.  Lane p of word first + w is mask ((first + w) << n_low) | p,
+    n_low = min(n - k, 6), whose bit j says site k + j is uninfected, over
+    the 2^(n-k) masks that hold the k targets; lanes past 2^(n-k) are 0.
 
-    The low 6 bits of m are its lane in a word, so their planes are fixed
-    patterns; the higher bits are constant within a word.  Words are evolved
-    in chunks of at most _CHUNK_WORDS, and the sizes of the hits are counted
-    per word as popcount(word index) plus the popcount of the lane plus k.
+    The low n_low bits of a mask are its lane in a word, so their planes are
+    fixed patterns; the higher bits are constant within a word.  Words are
+    evolved in chunks of at most _CHUNK_WORDS.
     """
-    n, k = len(dom.sites), dom.k
-    free = n - k
-    low, by_popcount = _lane_tables()
+    k = dom.k
+    free = len(dom.sites) - k
+    low, _ = _lane_tables()
     n_low = min(free, _LOW_BITS)
     chunk_bits = min(free - n_low, _CHUNK_WORDS.bit_length() - 1)
     high_bits = free - n_low - chunk_bits
@@ -136,18 +140,30 @@ def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tu
     fixed = [np.full(words.size, low[j]) for j in range(n_low)]
     fixed += [np.where(words >> np.uint64(b) & np.uint64(1), ones, zeros) for b in range(chunk_bits)]
     valid = np.uint64((1 << (1 << n_low)) - 1)  # lanes p < 2^(n-k) when n - k < 6
-    lane_popcount = np.arange(_LOW_BITS + 1)
-    word_popcount = np.bitwise_count(words).astype(np.int64)
-    counts = np.zeros(n + _LOW_BITS + 1, dtype=np.int64)
-    best, found = n + 1, []
     for chunk in range(1 << high_bits):
         planes = [ones] * k + fixed + [ones if chunk >> b & 1 else zeros for b in range(high_bits)]
-        good = protects(planes, dom, rule) & valid
+        yield chunk << chunk_bits, protects(planes, dom, rule) & valid
+
+
+def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(hits, counts): the smallest protecting subsets (site indices, in
+    lexicographic order) and N_u for every u, over all 2^n subsets, of which
+    mask_feed evolves only the 2^(n-k) that hold the k targets.  The sizes of
+    the hits are counted per word as popcount(word index) plus the popcount
+    of the lane plus k.
+    """
+    n, k = len(dom.sites), dom.k
+    n_low = min(n - k, _LOW_BITS)
+    _, by_popcount = _lane_tables()
+    lane_popcount = np.arange(_LOW_BITS + 1)
+    counts = np.zeros(n + _LOW_BITS + 1, dtype=np.int64)
+    best, found = n + 1, []
+    for first, good in mask_feed(dom, rule):
         sel = np.flatnonzero(good)
         if not sel.size:
             continue
         per_lane_size = np.bitwise_count(good[sel, np.newaxis] & by_popcount)  # [word, lane popcount]
-        size = word_popcount[sel, np.newaxis] + (chunk.bit_count() + k + lane_popcount)
+        size = np.bitwise_count(sel).astype(np.int64)[:, np.newaxis] + (first.bit_count() + k + lane_popcount)
         counts += np.bincount(size.ravel(), weights=per_lane_size.ravel(), minlength=counts.size).astype(np.int64)
         smallest = int(size[per_lane_size > 0].min())
         if smallest > best:
@@ -156,11 +172,66 @@ def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tu
             best, found = smallest, []
         word, lane_size = np.nonzero((size == best) & (per_lane_size > 0))
         w, lane = np.nonzero(lane_bits(good[sel[word]] & by_popcount[lane_size]))
-        base = (chunk << chunk_bits) + sel[word[w]]
-        found.append((base.astype(np.int64) << n_low) | lane)
+        found.append((first + sel[word[w]]) << n_low | lane)
     masks = np.concatenate(found).tolist()
-    hits = sorted(tuple(range(k)) + tuple(k + j for j in range(free) if m >> j & 1) for m in masks)
+    hits = sorted(tuple(range(k)) + tuple(k + j for j in range(n - k) if m >> j & 1) for m in masks)
     return tuple(hits), tuple(int(c) for c in counts[: n + 1])
+
+
+def intersection(d: int, t: int, offset: Site) -> tuple[tuple[int, int], ...]:
+    """The sites x of B_t(0) within distance t of offset, in enumerate_ball
+    order, as pairs of indices into B_t: (x, x - offset)."""
+    ball = enumerate_ball(d, t)
+    shifted = (tuple(c - o for c, o in zip(x, offset)) for x in ball.sites)
+    return tuple((j, ball.index_of[y]) for j, y in enumerate(shifted) if l1_norm(y) <= t)
+
+
+def split_counts(d: int, t: int, offset: Site, rule: Rule) -> tuple[int, ...]:
+    """N_u over U = B_t(0) union B_t(offset) for the subsets that protect
+    both centres, the counts mask_sweep gives on domain(d, t, offset), from
+    one mask_feed over B_t(0).
+
+    Each centre's state at time t reads only its own ball, and translation
+    by -offset maps the offset's event on B_t(offset) to the origin's on
+    B_t(0).  So with I = B_t(0) ∩ B_t(offset), every protecting subset S of
+    B_t(0) is tabulated twice, by its trace on I and its size off I:
+    F0[S ∩ I][|S| - |S ∩ I|], and F1[(S ∩ (I - offset)) + offset][|S| -
+    |S ∩ (I - offset)|].  A subset of U is a pair of one from each
+    table that agree on I, so N_u = sum over s ⊆ I and j of
+    F0[s][j] F1[s][u - |s| - j].  A table key holds site I[i] in bit i and is
+    built one site of I at a time, so no array grows with masks × |I|.  The
+    caller keeps each table's 2^|I| (|B_t| - |I| + 1) cells within a chunk's
+    64 _CHUNK_WORDS masks, and |U| <= 66, where every partial sum of N_u is
+    at most C(66, 33) < 2^63, so the int64 sums are exact.
+    """
+    dom = domain(d, t)
+    n = len(dom.sites)
+    n_low = min(n - 1, _LOW_BITS)
+    pairs = intersection(d, t, offset)
+    m, width = len(pairs), n - len(pairs) + 1  # |S \ I| runs over 0..n - |I|
+    sources = [x for x, _ in pairs], [y for _, y in pairs]
+    tables = [np.zeros(width << m, dtype=np.int64) for _ in sources]
+    for first, good in mask_feed(dom, rule):
+        sel = np.flatnonzero(good)
+        if not sel.size:
+            continue
+        w, lane = np.nonzero(lane_bits(good[sel]))
+        subsets = ((first + sel[w]) << n_low | lane) << 1 | 1  # bit j says site j is in S; the origin always is
+        size = np.bitwise_count(subsets).astype(np.int64)
+        for table, source in zip(tables, sources):
+            key = np.zeros_like(subsets)
+            for i, j in enumerate(source):
+                key |= (subsets >> j & 1) << i
+            table += np.bincount(key * width + size - np.bitwise_count(key), minlength=table.size)
+    f0, f1 = (table.reshape(1 << m, width) for table in tables)
+    pair = np.zeros((1 << m, 2 * width - 1), dtype=np.int64)  # [s, |S \ I| + |S' \ (I - offset)|]
+    for j in range(width):
+        pair[:, j : j + width] += f0[:, j, np.newaxis] * f1
+    inside = np.bitwise_count(np.arange(1 << m))
+    counts = np.zeros(2 * n - m + 1, dtype=np.int64)  # |U| = 2|B_t| - |I|
+    for c in range(m + 1):
+        counts[c : c + pair.shape[1]] += pair[inside == c].sum(axis=0)
+    return tuple(int(c) for c in counts)
 
 
 def combination_blocks(n: int, u: int, rows: int):

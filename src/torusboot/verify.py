@@ -298,8 +298,9 @@ def criterion_poisson() -> CriterionReport:
 def stein_chen_bound_exact() -> float:
     """Barbour-Eagleson RHS with exact rho1/rho2 inputs (d=2, t=2 regime).
 
-    rho2 is exact_joint on every offset of norm <= 4, a sweep over at most
-    2^25 subsets each; stein_chen_rhs supplies rho1^2 at norm 5.
+    rho2 is exact_joint on every offset of norm <= 4: each splits one sweep
+    of B_2's 2^12 masks over the at most 8 sites its two balls share, where
+    the union held up to 2^23; stein_chen_rhs supplies rho1^2 at norm 5.
     """
     n = POISSON_N
     q = poisson_regime_q(n)

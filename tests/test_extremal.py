@@ -168,12 +168,12 @@ def test_budget_boundaries_are_the_subsets_evolved():
     with pytest.raises(WorkBudgetExceeded) as exc:
         count_min_certificates(4, 2, Modified(), budget=102_090)
     assert exc.value.estimate == 102_091
-    # B_1(0) and B_1((1,0)) share 2 of their 5 sites: 8 sites, 2 of them
-    # targets, so 2^6 = 64 subsets hold both
-    assert exact_joint(2, 1, (1, 0), budget=64).counts == JOINT_2_1[(0, 1)]
+    # B_1(0) and B_1((1,0)) share 2 of their 5 sites, so the joint splits
+    # one sweep of B_1's 2^4 = 16 masks that hold the origin over those 2
+    assert exact_joint(2, 1, (1, 0), budget=16).counts == JOINT_2_1[(0, 1)]
     with pytest.raises(WorkBudgetExceeded) as exc:
-        exact_joint(2, 1, (1, 0), budget=63)
-    assert exc.value.estimate == 64
+        exact_joint(2, 1, (1, 0), budget=15)
+    assert exc.value.estimate == 16
 
 
 def spy_on_feeds(monkeypatch):
@@ -200,11 +200,12 @@ def spy_on_feeds(monkeypatch):
     [
         (exact_rho1, (2, 1), 2**4, False),  # 2^4 valid lanes of one word
         (exact_rho1, (2, 2), 2**12, False),
-        (exact_joint, (2, 2, (1, 0)), 2**16, False),  # 18 sites, two targets
+        (exact_joint, (2, 2, (1, 0)), 2**12, False),  # the split: 13 sites, one target
+        (exact_joint, (1, 3, (1,)), 2**6, False),  # the union: 8 sites, two targets
         # 29 sites: C(28, 0) + C(28, 1) + C(28, 2) = 407 subsets of sizes 1..3
         (count_min_certificates, (14, 1, Modified()), 407, True),
     ],
-    ids=["rho1-2-1", "rho1-2-2", "joint-2-2", "size-major-14-1"],
+    ids=["rho1-2-1", "rho1-2-2", "joint-2-2", "joint-union-1-3", "size-major-14-1"],
 )
 def test_refusal_estimate_is_the_work_the_feeds_do(monkeypatch, oracle, args, work, size_major):
     clear_memos()
@@ -474,11 +475,12 @@ def test_classification_is_constant_on_orbits(d, t):
 
 @pytest.mark.parametrize("rule", [Standard(2), Modified()], ids=["standard", "modified"])
 def test_exact_joint_counts_are_constant_on_offset_orbits(rule):
-    counts = {off: exact_joint(2, 1, off, rule).counts for off in dependency_offsets(2, 1)}
-    assert len(set(counts.values())) > 1  # the counts do tell offsets apart
-    for off, c in counts.items():
-        for g in signed_permutations(2):
-            assert counts[g(off)] == c
+    for t in (1, 2):
+        counts = {off: exact_joint(2, t, off, rule).counts for off in dependency_offsets(2, t)}
+        assert len(set(counts.values())) > 1  # the counts do tell offsets apart
+        for off, c in counts.items():
+            for g in signed_permutations(2):
+                assert counts[g(off)] == c, (t, off)
 
 
 @pytest.mark.parametrize(
@@ -655,6 +657,66 @@ def test_exact_joint_counts_pinned_on_union_bound_offsets():
         assert exact_joint(2, 1, off).counts == JOINT_2_1[tuple(sorted(map(abs, off)))], off
 
 
+# every dependency offset of these cells for every rule, and of (2,2) for
+# the paper's two rules, whose norm-5 unions of 26 sites sweep 2^24 masks
+SPLIT_CELLS = [
+    (d, t, rule)
+    for d, t in [(1, 1), (1, 2), (2, 1), (3, 1)]
+    for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]
+] + [(2, 2, Standard(2)), (2, 2, Modified())]
+
+
+@pytest.mark.parametrize("d,t,rule", SPLIT_CELLS, ids=str)
+def test_split_counts_are_the_union_sweep(d, t, rule):
+    # the union's mask sweep is the reference the split replaces, on every
+    # offset, those _polynomial leaves to the union included
+    for offset in dependency_offsets(d, t):
+        want = sweep.mask_sweep(sweep.domain(d, t, offset), rule)[1]
+        assert sweep.split_counts(d, t, offset, rule) == want, offset
+
+
+def test_intersection_is_the_shared_sites():
+    for d, t in [(1, 2), (2, 1), (2, 2), (3, 1)]:
+        ball = enumerate_ball(d, t).sites
+        for offset in dependency_offsets(d, t):
+            pairs = sweep.intersection(d, t, offset)
+            shifted = {tuple(c + o for c, o in zip(s, offset)) for s in ball}
+            assert [ball[x] for x, _ in pairs] == [s for s in ball if s in shifted]
+            assert all(tuple(a - o for a, o in zip(ball[x], offset)) == ball[y] for x, y in pairs)
+            assert 2 * len(ball) - len(pairs) == len(sweep.domain(d, t, offset).sites)
+
+
+@pytest.mark.parametrize(
+    "d,t,offset,feed,other",
+    [
+        # B_2 has 13 sites and shares 4 with B_2((2,1)): one sweep of 2^12
+        # masks and two tables of 2^4 * 10 cells, against 2^20 for the union
+        (2, 2, (2, 1), "split_counts", "mask_sweep"),
+        # B_3 in d = 1 shares 6 of its 7 sites with B_3(1): the union's 2^6
+        # masks are no more than the ball's
+        (1, 3, (1,), "mask_sweep", "split_counts"),
+    ],
+    ids=["split-2-2", "union-1-3"],
+)
+def test_the_cheaper_feed_answers_a_joint(monkeypatch, d, t, offset, feed, other):
+    clear_memos()
+    want = sweep.mask_sweep(sweep.domain(d, t, offset), Standard(d))[1]
+    runs = []
+    chosen = getattr(sweep, feed)
+
+    def spy(*args):
+        runs.append(feed)
+        return chosen(*args)
+
+    def refuse(*args):
+        raise AssertionError(f"{other} ran")
+
+    monkeypatch.setattr(sweep, feed, spy)
+    monkeypatch.setattr(sweep, other, refuse)
+    assert exact_joint(d, t, offset).counts == want
+    assert runs == [feed]
+
+
 def test_joint_refuses_from_a_lower_bound_before_building_the_union(monkeypatch):
     def no_domain(*args):
         raise AssertionError("a domain was built")
@@ -800,16 +862,18 @@ def test_protection_monotone_in_uninfected_set():
 
 
 def test_joint_disjoint_balls_factorize():
-    # offset norm 2t+1: the polynomial is the product of the marginals
+    # offset norm 2t+1 or 2t+2: the balls share no site, so the polynomial
+    # is the product of the marginals
     single = exact_rho1(2, 1)
-    joint = exact_joint(2, 1, (3, 0))
     prod = np.polynomial.polynomial.polymul(
         np.array(single.counts, dtype=float), np.array(single.counts, dtype=float)
     )
-    assert joint.n_sites == 2 * single.n_sites
-    assert list(joint.counts) == [int(c) for c in prod] + [0] * (
-        len(joint.counts) - len(prod)
-    )
+    for offset in [(3, 0), (4, 0), (2, -2)]:
+        joint = exact_joint(2, 1, offset)
+        assert joint.n_sites == 2 * single.n_sites
+        assert list(joint.counts) == [int(c) for c in prod] + [0] * (
+            len(joint.counts) - len(prod)
+        ), offset
 
 
 def test_joint_minimum_exceeds_single():
@@ -820,6 +884,14 @@ def test_joint_minimum_exceeds_single():
 def test_joint_rejects_zero_offset():
     with pytest.raises(ValueError):
         exact_joint(2, 1, (0, 0))
+
+
+@pytest.mark.parametrize("offset", [(0.5, 0), (1.0, 0), ("1", 0)])
+def test_joint_rejects_an_offset_off_the_lattice(offset):
+    # a half-integer offset used to count a union of off-lattice sites
+    with pytest.raises(ValueError, match="offset must have integer coordinates"):
+        exact_joint(2, 1, offset)
+    assert exact_joint(2, 1, (np.int64(1), 0)).offset == (1, 0)
 
 
 @pytest.mark.parametrize("offset", [(1,), (1, 0, 0)])
