@@ -91,9 +91,10 @@ def classification_tag(tag: str) -> str:
 
 @lru_cache(maxsize=None)
 def _templates(d: int, t: int, rule: Rule) -> MappingProxyType[frozenset[Site], str]:
-    """Every column template of B_t mapped to its tag; where two templates
-    are the same set, the first in search order (axis, then orientation,
-    then the column before its displaced ends) names it.
+    """Every column template of B_t mapped to its tag.  A set that equals
+    some column is canonical, even where it is also a displaced column of
+    another axis or orientation, as at t = 1, so no tag depends on the
+    order in which the templates are built.
 
     Standard rule: canonical is a column aligned with some axis, and
     semi-canonical a column whose two extreme points may each be displaced
@@ -102,12 +103,12 @@ def _templates(d: int, t: int, rule: Rule) -> MappingProxyType[frozenset[Site], 
     """
     sites = enumerate_ball(d, t).sites
     modified = isinstance(rule, Modified)
-    table: dict[frozenset[Site], str] = {}
+    columns, displaced = {}, {}
     for axis in range(d):
         for eps in [(0,) * (d - 1)] if modified else product((-1, 1), repeat=d - 1):
             orient = eps[:axis] + (0,) + eps[axis:]
             column = frozenset(x for x in sites if all(x[i] in (0, orient[i]) for i in range(d) if i != axis))
-            table.setdefault(column, "canonical")
+            columns[column] = "canonical"
             if modified:
                 continue
             # the end at s * t on the axis, then its displacements to height
@@ -122,8 +123,8 @@ def _templates(d: int, t: int, rule: Rule) -> MappingProxyType[frozenset[Site], 
             )
             base = column - {ups[0], downs[0]}
             for vp, vm in product(ups, downs):
-                table.setdefault(base | {vp, vm}, "semi-canonical")
-    return MappingProxyType(table)  # shared by every caller
+                displaced[base | {vp, vm}] = "semi-canonical"
+    return MappingProxyType(displaced | columns)  # shared by every caller
 
 
 def classify(cert: Certificate) -> str:
@@ -254,8 +255,8 @@ def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: 
     A ball reads its memoised mask sweep.  A joint reads sweep.split_counts,
     one mask sweep of B_t split over I = B_t(0) ∩ B_t(offset), when
     |I| < |B_t| - 1, so that its 2^(|B_t|-1) masks are fewer than the union's
-    2^(|U|-2); when each of its two tables' 2^|I| (|B_t| - |I| + 1) cells
-    fits in one chunk's 64 sweep._CHUNK_WORDS masks; and when |U| <= 66, so
+    2^(|U|-2); when its table's 2^|I| (|B_t| - |I| + 1) cells fit in one
+    chunk's 64 sweep._CHUNK_WORDS masks; and when |U| <= 66, so
     that its int64 sums are exact.  Otherwise it reads the union's memoised
     mask sweep.  |U| = 2|B_t| - |I|, so no union is built to choose.
     """

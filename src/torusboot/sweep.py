@@ -15,16 +15,18 @@ all-ones (uninfected) and enumerate subsets of the other sites only:
 mask_feed runs all 2^(n-k) subsets of the n - k non-target sites of a
 domain with k targets, and size_layer_hits the subsets of one size: the
 prefixes one element shorter, unranked in lexicographic blocks, each get one
-word per run of 64 last elements, written straight into the planes.  Two
-readers share mask_feed: mask_sweep counts and lists a domain's protecting
-subsets, and split_counts tabulates those of a ball by their trace on its
-intersection with a translate, which gives the joint counts of the two
-balls' union from one ball's sweep.  tests/test_extremal.py holds
-evolve_planes bit for bit to the boolean finite-domain reference of
-tests/reference.py, both feeds to all 2^n subsets run through it, every lane
-of size_layer_hits to itertools.combinations run through it, and
-split_counts to mask_sweep on the union.  The extremal oracles import this module on their first
-sweep, so the package's other users never load it.
+word per run of 64 last elements, written straight into the planes.
+mask_feed yields only the words that hold a protecting subset, with their
+indices, to mask_sweep, which counts and lists them, and to split_counts,
+which keys each one of a ball once by its trace on the ball's intersection
+with a translate and mirrors that table for the translate: the joint counts
+of the two balls' union from one ball's sweep.  tests/test_extremal.py
+holds evolve_planes bit for bit to the boolean finite-domain reference of
+tests/reference.py, also on plain bools, both feeds to all 2^n subsets run
+through it, every lane of size_layer_hits to itertools.combinations run
+through it, split_counts to mask_sweep on the union, and the reflection
+symmetry the mirror needs.  The extremal oracles import this module on
+their first sweep, so the package's other users never load it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ _LOW_BITS = 6  # a word's 64 lanes hold every value of the 6 lowest mask bits
 # take at most m * 16 KiB: 992 KiB at m = 62, 2 MiB at m = 128.  A prefix
 # wider than the budget (m > 2^17) still gets a block of its own.
 _CHUNK_WORDS = 1 << 11
+# Lane p of a mask-sweep word holds the low mask bits p.  _LOW[j] sets the
+# lanes whose bit j is set, _BY_POPCOUNT[k] the lanes with k bits set.
+_LOW = np.array([sum(1 << p for p in range(64) if p >> j & 1) for j in range(_LOW_BITS)], dtype=np.uint64)
+_BY_POPCOUNT = np.array(
+    [sum(1 << p for p in range(64) if p.bit_count() == k) for k in range(_LOW_BITS + 1)], dtype=np.uint64
+)
+_LOW.flags.writeable = _BY_POPCOUNT.flags.writeable = False  # shared by every caller
 
 
 class Domain(NamedTuple):
@@ -106,24 +115,12 @@ def protects(planes: list[np.ndarray], dom: Domain, rule: Rule) -> np.ndarray:
     return first
 
 
-@lru_cache(maxsize=1)
-def _lane_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lane p of a mask-sweep word holds the low mask bits p.  low[j] sets the
-    lanes whose bit j is set; by_popcount[k] the lanes with k bits set."""
-    low = [sum(1 << p for p in range(64) if p >> j & 1) for j in range(_LOW_BITS)]
-    by_popcount = [sum(1 << p for p in range(64) if p.bit_count() == k) for k in range(_LOW_BITS + 1)]
-    tables = np.array(low, dtype=np.uint64), np.array(by_popcount, dtype=np.uint64)
-    for table in tables:
-        table.flags.writeable = False  # shared by every caller
-    return tables
-
-
 def mask_feed(dom: Domain, rule: Rule):
-    """The mask sweep's one feed: (first, good) for each chunk of words, in
-    order, good[w] holding the lanes of word first + w that protect every
-    target.  Lane p of word first + w is mask ((first + w) << n_low) | p,
-    n_low = min(n - k, 6), whose bit j says site k + j is uninfected, over
-    the 2^(n-k) masks that hold the k targets; lanes past 2^(n-k) are 0.
+    """The mask sweep's one feed, in order: for each chunk the indices of its
+    words that hold a lane protecting every target, and good[w], those lanes
+    of word words[w].  Lane p of word w is mask (w << n_low) | p, n_low =
+    min(n - k, 6), whose bit j says site k + j is uninfected, over the
+    2^(n-k) masks that hold the k targets; lanes past 2^(n-k) are 0.
 
     The low n_low bits of a mask are its lane in a word, so their planes are
     fixed patterns; the higher bits are constant within a word.  Words are
@@ -131,39 +128,36 @@ def mask_feed(dom: Domain, rule: Rule):
     """
     k = dom.k
     free = len(dom.sites) - k
-    low, _ = _lane_tables()
     n_low = min(free, _LOW_BITS)
     chunk_bits = min(free - n_low, _CHUNK_WORDS.bit_length() - 1)
     high_bits = free - n_low - chunk_bits
     words = np.arange(1 << chunk_bits, dtype=np.uint64)
     ones, zeros = np.full(words.size, ~np.uint64(0)), np.zeros(words.size, dtype=np.uint64)
-    fixed = [np.full(words.size, low[j]) for j in range(n_low)]
+    fixed = [np.full(words.size, _LOW[j]) for j in range(n_low)]
     fixed += [np.where(words >> np.uint64(b) & np.uint64(1), ones, zeros) for b in range(chunk_bits)]
     valid = np.uint64((1 << (1 << n_low)) - 1)  # lanes p < 2^(n-k) when n - k < 6
     for chunk in range(1 << high_bits):
         planes = [ones] * k + fixed + [ones if chunk >> b & 1 else zeros for b in range(high_bits)]
-        yield chunk << chunk_bits, protects(planes, dom, rule) & valid
+        good = protects(planes, dom, rule) & valid
+        sel = np.flatnonzero(good)
+        if sel.size:
+            yield (chunk << chunk_bits) + sel, good[sel]
 
 
 def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(hits, counts): the smallest protecting subsets (site indices, in
     lexicographic order) and N_u for every u, over all 2^n subsets, of which
-    mask_feed evolves only the 2^(n-k) that hold the k targets.  The sizes of
-    the hits are counted per word as popcount(word index) plus the popcount
-    of the lane plus k.
+    mask_feed evolves only the 2^(n-k) that hold the k targets, counted per
+    word and lane popcount: popcount(word index) + k + popcount(lane) sites.
     """
     n, k = len(dom.sites), dom.k
     n_low = min(n - k, _LOW_BITS)
-    _, by_popcount = _lane_tables()
     lane_popcount = np.arange(_LOW_BITS + 1)
     counts = np.zeros(n + _LOW_BITS + 1, dtype=np.int64)
     best, found = n + 1, []
-    for first, good in mask_feed(dom, rule):
-        sel = np.flatnonzero(good)
-        if not sel.size:
-            continue
-        per_lane_size = np.bitwise_count(good[sel, np.newaxis] & by_popcount)  # [word, lane popcount]
-        size = np.bitwise_count(sel).astype(np.int64)[:, np.newaxis] + (first.bit_count() + k + lane_popcount)
+    for words, good in mask_feed(dom, rule):
+        per_lane_size = np.bitwise_count(good[:, np.newaxis] & _BY_POPCOUNT)  # [word, lane popcount]
+        size = np.bitwise_count(words).astype(np.int64)[:, np.newaxis] + (k + lane_popcount)
         counts += np.bincount(size.ravel(), weights=per_lane_size.ravel(), minlength=counts.size).astype(np.int64)
         smallest = int(size[per_lane_size > 0].min())
         if smallest > best:
@@ -171,19 +165,21 @@ def mask_sweep(dom: Domain, rule: Rule) -> tuple[tuple[tuple[int, ...], ...], tu
         if smallest < best:
             best, found = smallest, []
         word, lane_size = np.nonzero((size == best) & (per_lane_size > 0))
-        w, lane = np.nonzero(lane_bits(good[sel[word]] & by_popcount[lane_size]))
-        found.append((first + sel[word[w]]) << n_low | lane)
+        w, lane = np.nonzero(lane_bits(good[word] & _BY_POPCOUNT[lane_size]))
+        found.append(words[word[w]] << n_low | lane)
     masks = np.concatenate(found).tolist()
     hits = sorted(tuple(range(k)) + tuple(k + j for j in range(n - k) if m >> j & 1) for m in masks)
     return tuple(hits), tuple(int(c) for c in counts[: n + 1])
 
 
 def intersection(d: int, t: int, offset: Site) -> tuple[tuple[int, int], ...]:
-    """The sites x of B_t(0) within distance t of offset, in enumerate_ball
-    order, as pairs of indices into B_t: (x, x - offset)."""
+    """The shared sites x of B_t(0) and B_t(offset), in enumerate_ball order,
+    as pairs: x's index in B_t, and the position in this list of its mirror
+    offset - x, which is shared too."""
     ball = enumerate_ball(d, t)
-    shifted = (tuple(c - o for c, o in zip(x, offset)) for x in ball.sites)
-    return tuple((j, ball.index_of[y]) for j, y in enumerate(shifted) if l1_norm(y) <= t)
+    shared = [x for x in ball.sites if sum(abs(c - o) for c, o in zip(x, offset)) <= t]
+    position = {x: i for i, x in enumerate(shared)}
+    return tuple((ball.index_of[x], position[tuple(o - c for c, o in zip(x, offset))]) for x in shared)
 
 
 def split_counts(d: int, t: int, offset: Site, rule: Rule) -> tuple[int, ...]:
@@ -191,43 +187,43 @@ def split_counts(d: int, t: int, offset: Site, rule: Rule) -> tuple[int, ...]:
     both centres, the counts mask_sweep gives on domain(d, t, offset), from
     one mask_feed over B_t(0).
 
-    Each centre's state at time t reads only its own ball, and translation
-    by -offset maps the offset's event on B_t(offset) to the origin's on
-    B_t(0).  So with I = B_t(0) ∩ B_t(offset), every protecting subset S of
-    B_t(0) is tabulated twice, by its trace on I and its size off I:
-    F0[S ∩ I][|S| - |S ∩ I|], and F1[(S ∩ (I - offset)) + offset][|S| -
-    |S ∩ (I - offset)|].  A subset of U is a pair of one from each
-    table that agree on I, so N_u = sum over s ⊆ I and j of
-    F0[s][j] F1[s][u - |s| - j].  A table key holds site I[i] in bit i and is
-    built one site of I at a time, so no array grows with masks × |I|.  The
-    caller keeps each table's 2^|I| (|B_t| - |I| + 1) cells within a chunk's
-    64 _CHUNK_WORDS masks, and |U| <= 66, where every partial sum of N_u is
-    at most C(66, 33) < 2^63, so the int64 sums are exact.
+    Each centre's state at time t reads only its own ball.  With I = B_t(0)
+    ∩ B_t(offset), every protecting subset S of B_t(0) is tabulated once, by
+    its trace on I and its size off I: F[S ∩ I][|S| - |S ∩ I|].  Translated
+    by -offset, the offset's event reads the trace on I - offset = -I; B_t
+    and both rules are symmetric under x -> -x, so S protects exactly when
+    -S does, and the offset's table is F[σ(s)], σ the mirror x -> offset - x
+    of I.  A subset of U is a pair of one from each table that agree on I,
+    so N_u = sum over s ⊆ I and j of F[s][j] F[σ(s)][u - |s| - j].  A key
+    holds site I[i] in bit i and is built one site of I at a time, so no
+    array grows with masks × |I|.  The caller keeps the table's 2^|I| (|B_t|
+    - |I| + 1) cells within a chunk's 64 _CHUNK_WORDS masks, and |U| <= 66,
+    where every partial sum of N_u is at most C(66, 33) < 2^63, so the int64
+    sums are exact.
     """
     dom = domain(d, t)
     n = len(dom.sites)
     n_low = min(n - 1, _LOW_BITS)
     pairs = intersection(d, t, offset)
     m, width = len(pairs), n - len(pairs) + 1  # |S \ I| runs over 0..n - |I|
-    sources = [x for x, _ in pairs], [y for _, y in pairs]
-    tables = [np.zeros(width << m, dtype=np.int64) for _ in sources]
-    for first, good in mask_feed(dom, rule):
-        sel = np.flatnonzero(good)
-        if not sel.size:
-            continue
-        w, lane = np.nonzero(lane_bits(good[sel]))
-        subsets = ((first + sel[w]) << n_low | lane) << 1 | 1  # bit j says site j is in S; the origin always is
-        size = np.bitwise_count(subsets).astype(np.int64)
-        for table, source in zip(tables, sources):
-            key = np.zeros_like(subsets)
-            for i, j in enumerate(source):
-                key |= (subsets >> j & 1) << i
-            table += np.bincount(key * width + size - np.bitwise_count(key), minlength=table.size)
-    f0, f1 = (table.reshape(1 << m, width) for table in tables)
+    table = np.zeros(width << m, dtype=np.int64)
+    for words, good in mask_feed(dom, rule):
+        w, lane = np.nonzero(lane_bits(good))
+        subsets = (words[w] << n_low | lane) << 1 | 1  # bit j says site j is in S; the origin always is
+        key = np.zeros_like(subsets)
+        for i, (x, _) in enumerate(pairs):
+            key |= (subsets >> x & 1) << i
+        table += np.bincount(key * width + np.bitwise_count(subsets) - np.bitwise_count(key), minlength=table.size)
+    keys = np.arange(1 << m)
+    mirror = np.zeros_like(keys)  # σ(s)
+    for i, (_, j) in enumerate(pairs):
+        mirror |= (keys >> i & 1) << j
+    f = table.reshape(1 << m, width)
+    f_offset = f[mirror]
     pair = np.zeros((1 << m, 2 * width - 1), dtype=np.int64)  # [s, |S \ I| + |S' \ (I - offset)|]
     for j in range(width):
-        pair[:, j : j + width] += f0[:, j, np.newaxis] * f1
-    inside = np.bitwise_count(np.arange(1 << m))
+        pair[:, j : j + width] += f[:, j, np.newaxis] * f_offset
+    inside = np.bitwise_count(keys)
     counts = np.zeros(2 * n - m + 1, dtype=np.int64)  # |U| = 2|B_t| - |I|
     for c in range(m + 1):
         counts[c : c + pair.shape[1]] += pair[inside == c].sum(axis=0)

@@ -57,35 +57,37 @@ def _column_set(d, t, axis, orient):
 
 def classify_by_search(d, t, rule, protected):
     """The tag of a protected set of B_t, searched template by template,
-    each rebuilt on the spot; the first match wins."""
+    each rebuilt on the spot: canonical when it equals any column, else
+    semi-canonical when it equals any column with displaced ends."""
     if isinstance(rule, Modified):
         for axis in range(d):
             if protected == _column_set(d, t, axis, (0,) * d):
                 return "canonical"
         return "other"
+    orientations = []
     for axis in range(d):
         others = [i for i in range(d) if i != axis]
         for eps in product((-1, 1), repeat=d - 1):
             orient = [0] * d
             for i, e in zip(others, eps):
                 orient[i] = e
-            orient_t = tuple(orient)
-            column = _column_set(d, t, axis, orient_t)
-            if protected == column:
-                return "canonical"
-            top = tuple(t if i == axis else 0 for i in range(d))
-            bottom = tuple(-t if i == axis else 0 for i in range(d))
-            base = column - {top, bottom}
-            v_plus_opts = [top] + [
-                tuple((t - 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
-                for i in others
-            ]
-            v_minus_opts = [bottom] + [
-                tuple((-t + 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
-                for i in others
-            ]
-            for vp in v_plus_opts:
-                for vm in v_minus_opts:
-                    if protected == base | {vp, vm}:
-                        return "semi-canonical"
+            orientations.append((axis, others, tuple(orient)))
+    if any(protected == _column_set(d, t, axis, orient_t) for axis, _, orient_t in orientations):
+        return "canonical"
+    for axis, others, orient_t in orientations:
+        top = tuple(t if i == axis else 0 for i in range(d))
+        bottom = tuple(-t if i == axis else 0 for i in range(d))
+        base = _column_set(d, t, axis, orient_t) - {top, bottom}
+        v_plus_opts = [top] + [
+            tuple((t - 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
+            for i in others
+        ]
+        v_minus_opts = [bottom] + [
+            tuple((-t + 1 if j == axis else 0) - (orient_t[j] if j == i else 0) for j in range(d))
+            for i in others
+        ]
+        for vp in v_plus_opts:
+            for vm in v_minus_opts:
+                if protected == base | {vp, vm}:
+                    return "semi-canonical"
     return "other"

@@ -238,7 +238,7 @@ def test_sweep_module_loads_on_the_first_sweep():
 
 def test_cached_tables_are_read_only():
     # every caller shares one cached array or dict, so none may write into it
-    for table in (dynamics._ball_neighbor_matrix(2, 2), *sweep._lane_tables()):
+    for table in (dynamics._ball_neighbor_matrix(2, 2), sweep._LOW, sweep._BY_POPCOUNT):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
     for table in (extremal._templates(2, 2, Standard(2)), extremal._templates(2, 2, Modified()),
@@ -461,13 +461,19 @@ def test_certificates_closed_under_symmetry():
                 assert frozenset(map(g, cert.uninfected)) in cert_sets
 
 
-@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2)])
+# (canonical, semi-canonical) minimal certificates; at t = 1 a column of one
+# axis is also a displaced column of another, and the column's tag wins
+ORBIT_TAGS = {(2, 1): (4, 0), (3, 1): (12, 3), (4, 1): (32, 24), (2, 2): (4, 12), (2, 3): (4, 12), (3, 2): (12, 96)}
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (2, 3), (3, 2), (2, 1), (3, 1), (4, 1)])
 def test_classification_is_constant_on_orbits(d, t):
     # canonical vs semi-canonical is read off column templates; the group
     # is an independent check that the split follows whole orbits
     _, certs = count_min_certificates(d, t, Standard(d))
     tags = {c.uninfected: classify(c) for c in certs}
-    assert set(tags.values()) == {"canonical", "semi-canonical"}
+    values = list(tags.values())
+    assert (values.count("canonical"), values.count("semi-canonical")) == ORBIT_TAGS[d, t]
     for sites, tag in tags.items():
         for g in signed_permutations(d):
             assert tags[frozenset(map(g, sites))] == tag
@@ -682,7 +688,8 @@ def test_intersection_is_the_shared_sites():
             pairs = sweep.intersection(d, t, offset)
             shifted = {tuple(c + o for c, o in zip(s, offset)) for s in ball}
             assert [ball[x] for x, _ in pairs] == [s for s in ball if s in shifted]
-            assert all(tuple(a - o for a, o in zip(ball[x], offset)) == ball[y] for x, y in pairs)
+            # each shared site's mirror offset - x is shared too, at the position its pair names
+            assert all(tuple(o - a for a, o in zip(ball[x], offset)) == ball[pairs[i][0]] for x, i in pairs)
             assert 2 * len(ball) - len(pairs) == len(sweep.domain(d, t, offset).sites)
 
 
@@ -690,7 +697,7 @@ def test_intersection_is_the_shared_sites():
     "d,t,offset,feed,other",
     [
         # B_2 has 13 sites and shares 4 with B_2((2,1)): one sweep of 2^12
-        # masks and two tables of 2^4 * 10 cells, against 2^20 for the union
+        # masks and one table of 2^4 * 10 cells, against 2^20 for the union
         (2, 2, (2, 1), "split_counts", "mask_sweep"),
         # B_3 in d = 1 shares 6 of its 7 sites with B_3(1): the union's 2^6
         # masks are no more than the ball's
@@ -829,6 +836,38 @@ def test_light_cone_over_every_site_leaves_the_protected_set(d, t):
             planes = sweep.evolve_planes(pack_sites(rows.T), every_site, rule)
             got = np.stack([dynamics.lane_bits(p).ravel()[:257] for p in planes], axis=1)
             np.testing.assert_array_equal(got, dynamics.protected_set(rows, d, t, rule), err_msg=f"{rule} q={q}")
+
+
+@pytest.mark.parametrize("d,t,offset", [(2, 2, None), (3, 1, None), (2, 1, (1, 1)), (1, 3, (2,))])
+def test_evolve_planes_takes_one_subset_as_python_bools(d, t, offset):
+    """The kernel is bitwise only: one subset's states as plain bools evolve
+    to bools equal to that subset's lane of the uint64 planes."""
+    dom = sweep.domain(d, t, offset)
+    rng = np.random.default_rng(31 * d + t)
+    for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]:
+        for q in (0.5, 0.8, 0.95):
+            rows = rng.random((64, len(dom.sites))) < q
+            planes = sweep.evolve_planes(pack_sites(rows.T), dom, rule)
+            lanes = np.stack([dynamics.lane_bits(p).ravel() for p in planes], axis=1).tolist()
+            for row, want in zip(rows.tolist(), lanes):
+                got = sweep.evolve_planes(row, dom, rule)
+                assert all(type(state) is bool for state in got), (rule, q)
+                assert got == want, (rule, q, row)
+
+
+@pytest.mark.parametrize("d,t", [(2, 2), (3, 1), (2, 3)])
+def test_protection_is_symmetric_under_reflection(d, t):
+    """A state of B_t protects the origin exactly when its reflection x -> -x
+    does: split_counts reads the offset's table off the origin's by this."""
+    ball = enumerate_ball(d, t)
+    reflect = [ball.index_of[tuple(-c for c in s)] for s in ball.sites]
+    nbr = dynamics.neighbor_matrix(ball.sites)
+    rng = np.random.default_rng(100 * d + t)
+    for rule in [Modified()] + [Standard(r) for r in range(1, 2 * d + 1)]:
+        rows = np.concatenate([rng.random((300, len(reflect))) < q for q in (0.5, 0.8, 0.95)])
+        protected = evolve_boolean(rows, nbr, rule, steps=t)[:, 0]
+        np.testing.assert_array_equal(evolve_boolean(rows[:, reflect], nbr, rule, steps=t)[:, 0], protected)
+        assert protected.any() and not protected.all(), rule  # both outcomes are checked
 
 
 def test_rho_polynomial_to_json():

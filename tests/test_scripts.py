@@ -38,13 +38,13 @@ def test_extremal_census_script(tmp_path):
     # rule, d, t, size, count and classes of each row; the last column is its wall time
     rows = [" ".join(line.split()[:-1]) for line in proc.stdout.splitlines()[1:]]
     assert rows == [
-        "standard 2 1 4 4 canonical=2, semi-canonical=2",
+        "standard 2 1 4 4 canonical=4",
         "modified 2 1 3 2 canonical=2",
         "standard 2 2 8 16 canonical=4, semi-canonical=12",
         "modified 2 2 5 2 canonical=2",
         "standard 2 3 12 16 canonical=4, semi-canonical=12",
         "modified 2 3 7 2 canonical=2",
-        "standard 3 1 5 15 canonical=4, semi-canonical=11",
+        "standard 3 1 5 15 canonical=12, semi-canonical=3",
         "modified 3 1 3 3 canonical=3",
         "standard 3 2 12 108 canonical=12, semi-canonical=96",
         "modified 3 2 5 3 canonical=3",
@@ -60,13 +60,13 @@ def test_extremal_census_script_refuses_a_ball_whose_masks_exceed_the_budget(tmp
     # (2,2) has 13 sites, (2,3) and (3,2) 25: each refuses its 2^(|B_t|-1) masks
     refused = "refused: enumeration needs ~{} subset tests, budget is 4095".format
     assert rows == [
-        "standard 2 1 4 4 canonical=2, semi-canonical=2",
+        "standard 2 1 4 4 canonical=4",
         "modified 2 1 3 2 canonical=2",
         f"standard 2 2 {refused(4096)}",
         f"modified 2 2 {refused(4096)}",
         f"standard 2 3 {refused(16777216)}",
         f"modified 2 3 {refused(16777216)}",
-        "standard 3 1 5 15 canonical=4, semi-canonical=11",
+        "standard 3 1 5 15 canonical=12, semi-canonical=3",
         "modified 3 1 3 3 canonical=3",
         f"standard 3 2 {refused(16777216)}",
         f"modified 3 2 {refused(16777216)}",
