@@ -256,9 +256,9 @@ def _polynomial(d: int, t: int, rule: Rule | None, offset: Site | None, budget: 
     one mask sweep of B_t split over I = B_t(0) ∩ B_t(offset), when
     |I| < |B_t| - 1, so that its 2^(|B_t|-1) masks are fewer than the union's
     2^(|U|-2); when its table's 2^|I| (|B_t| - |I| + 1) cells fit in one
-    chunk's 64 sweep._CHUNK_WORDS masks; and when |U| <= 66, so
-    that its int64 sums are exact.  Otherwise it reads the union's memoised
-    mask sweep.  |U| = 2|B_t| - |I|, so no union is built to choose.
+    chunk's 64 sweep._CHUNK_WORDS masks; and when |U| <= 66, so that its
+    int64 sums are exact.  Otherwise it reads the union's memoised mask
+    sweep.  |U| = 2|B_t| - |I|, so no union is built to choose.
     """
     from . import sweep
 
